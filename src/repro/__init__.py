@@ -23,6 +23,7 @@ Quick start::
 """
 
 from .core import Frame, FramePreparationCache, MotionField, SMAnalyzer
+from .options import TrackOptions
 from .params import (
     FREDERIC_CONFIG,
     GOES9_CONFIG,
@@ -41,6 +42,7 @@ __all__ = [
     "FramePreparationCache",
     "MotionField",
     "SMAnalyzer",
+    "TrackOptions",
     "FREDERIC_CONFIG",
     "GOES9_CONFIG",
     "LUIS_CONFIG",

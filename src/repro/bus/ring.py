@@ -196,17 +196,19 @@ class ShmRing:
     def attach(cls, name: str, timeout: float = 0.0, poll: float = 0.02) -> "ShmRing":
         """Attach to an existing ring, optionally waiting for it to appear.
 
-        A segment that exists but fails header validation is retried
-        within the timeout too: the creator stamps the magic word last,
-        so an attacher racing :meth:`create` can map the segment a beat
-        before the header is ready.
+        A segment that exists but is not ready yet is retried within the
+        timeout too.  The creator's ``shm_open`` precedes its
+        ``ftruncate``, so an attacher racing :meth:`create` can find a
+        still-empty segment (mapping it raises ``ValueError``), and the
+        creator stamps the magic word last, so the header can fail
+        validation a beat longer.
         """
         deadline = time.monotonic() + timeout
         t0 = time.perf_counter()
         while True:
             try:
                 shm = shared_memory.SharedMemory(name=SEGMENT_PREFIX + name)
-            except FileNotFoundError:
+            except (FileNotFoundError, ValueError):
                 if time.monotonic() >= deadline:
                     raise RingNotFound(f"no ring named {name!r}") from None
                 time.sleep(poll)

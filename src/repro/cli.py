@@ -68,6 +68,7 @@ from .data.datasets import (
     hurricane_luis,
 )
 from .maspar.machine import GODDARD_MP2
+from .options import BACKENDS, EXACT_SEARCH_MODES, SEARCH_MODES, TrackOptions
 from .params import FREDERIC_CONFIG, GOES9_CONFIG, LUIS_CONFIG
 
 DATASET_FACTORIES = {
@@ -99,17 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
     track.add_argument("--search", type=int, default=3, help="z-search half-width")
     track.add_argument("--template", type=int, default=4, help="z-template half-width")
     track.add_argument(
-        "--search-mode", choices=("exhaustive", "pruned", "pyramid"),
-        default="exhaustive",
+        "--search-mode", choices=SEARCH_MODES, default="exhaustive",
         help="hypothesis schedule: 'pruned' is bit-identical with fewer GE "
         "solves; 'pyramid' is approximate coarse-to-fine (continuous model only)",
     )
     track.add_argument(
-        "--backend", choices=("auto", "numpy", "native", "device"), default="auto",
+        "--backend", choices=BACKENDS, default="auto",
         help="kernel backend: 'auto' picks the native C kernel when available "
-        "(bit-identical to 'numpy'); 'native' requires it; 'device' runs "
-        "hypothesis chunks through the array-API path (torch/cupy when "
-        "importable, NumPy otherwise) -- tolerance-equivalent, not bitwise",
+        "(bit-identical to 'numpy'); 'native' requires it",
     )
     track.add_argument("--out", type=str, default=None, help="save the field (.npz)")
     track.add_argument(
@@ -142,14 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--search", type=int, default=2, help="z-search half-width")
     stream.add_argument("--template", type=int, default=3, help="z-template half-width")
     stream.add_argument(
-        "--search-mode", choices=("exhaustive", "pruned"), default="exhaustive",
+        "--search-mode", choices=EXACT_SEARCH_MODES, default="exhaustive",
         help="hypothesis schedule ('pruned' is bit-identical with fewer GE "
         "solves; the approximate pyramid schedule is not streamable)",
     )
     stream.add_argument(
-        "--backend", choices=("auto", "numpy", "native"), default="auto",
-        help="kernel backend (bit-identical set only; the tolerance-"
-        "equivalent device backend is not streamable)",
+        "--backend", choices=BACKENDS, default="auto", help="kernel backend",
     )
     stream.add_argument(
         "--inject-faults", type=str, default=None, metavar="SPEC",
@@ -338,13 +334,13 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--search", type=int, default=2, help="z-search half-width")
     profile.add_argument("--template", type=int, default=3, help="z-template half-width")
     profile.add_argument(
-        "--search-mode", choices=("exhaustive", "pruned"), default="exhaustive",
+        "--search-mode", choices=EXACT_SEARCH_MODES, default="exhaustive",
         help="hypothesis schedule (the profile's GE counts show the "
         "pruned schedule's saving)",
     )
     profile.add_argument(
-        "--backend", choices=("auto", "numpy", "native"), default="auto",
-        help="kernel backend for the profiled run (bit-identical set only)",
+        "--backend", choices=BACKENDS, default="auto",
+        help="kernel backend for the profiled run",
     )
     _add_obs_arguments(profile)
 
@@ -388,14 +384,14 @@ def _add_serve_tuning_arguments(parser: argparse.ArgumentParser) -> None:
         "leases, flight-recorder events, and serve.node.* gauges",
     )
     parser.add_argument(
-        "--search-mode", choices=("exhaustive", "pruned"), default="exhaustive",
+        "--search-mode", choices=EXACT_SEARCH_MODES, default="exhaustive",
         help="default hypothesis schedule for jobs that do not name one "
         "(result-cache keys include the mode)",
     )
     parser.add_argument(
-        "--backend", choices=("auto", "numpy", "native"), default="auto",
+        "--backend", choices=BACKENDS, default="auto",
         help="default kernel backend for jobs that do not name one "
-        "(result-cache keys include it; the device backend is not servable)",
+        "(result-cache keys include it)",
     )
     parser.add_argument(
         "--lease-seconds", type=float, default=15.0, metavar="S",
@@ -555,9 +551,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
         n_frames = max(n_frames, args.workers + 1)
     dataset: Dataset = factory(size=args.size, n_frames=n_frames, seed=args.seed)
     config = dataset.config.replace(n_zs=args.search, n_zt=args.template)
-    analyzer = SMAnalyzer(
-        config, pixel_km=dataset.pixel_km, search=args.search_mode, backend=args.backend
-    )
+    options = TrackOptions(args.search_mode, args.backend)
+    analyzer = SMAnalyzer(config, pixel_km=dataset.pixel_km, options=options)
     if args.workers is not None and args.workers > 1:
         # Sequence driver: all pairs sharded over the pool, bit-identical
         # to the direct call; report the requested pair.
@@ -579,7 +574,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
         )
         refined = refine(
             prepared,
-            track_dense(prepared, search=args.search_mode, backend=args.backend),
+            track_dense(prepared, search=options.search, backend=options.backend),
         )
         field.u[...] = refined.u
         field.v[...] = refined.v
@@ -742,8 +737,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         hs_iterations=args.hs_iterations,
         pixel_km=dataset.pixel_km,
         workers=args.workers,
-        search=args.search_mode,
-        backend=args.backend,
+        options=TrackOptions(args.search_mode, args.backend),
         transport=args.transport,
     )
     if args.source is not None:
@@ -847,8 +841,7 @@ def _serve_app_from_args(
         pool_workers=args.pool_workers,
         queue_depth=args.queue_depth,
         cache_bytes=args.cache_bytes,
-        search_mode=args.search_mode,
-        backend=args.backend,
+        options=TrackOptions(args.search_mode, args.backend),
         lease_seconds=args.lease_seconds,
         max_attempts=args.max_attempts,
         job_timeout_seconds=args.job_timeout if args.job_timeout > 0 else None,
@@ -935,11 +928,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Runs off the main thread so serve_forever can wind down; drain
         # finishes every accepted job before the listener closes.  With
         # spawned nodes: stop admitting, let the nodes drain the shared
-        # queue, retire them, then close the listener.
+        # queue while any of them is alive, retire them, then close the
+        # listener.
         def _worker() -> None:
             if children:
                 app.draining = True
-                app.queue.wait_idle()
+                app.wait_idle()
                 for child in children:
                     child.send_signal(signal.SIGTERM)
                 for child in children:
@@ -1184,7 +1178,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     METRICS.reset()
     enable_tracing(True)
     driver = ParallelSMA(
-        config, pixel_km=dataset.pixel_km, search=args.search_mode, backend=args.backend
+        config, pixel_km=dataset.pixel_km,
+        options=TrackOptions(args.search_mode, args.backend),
     )
     result = driver.track_pair(dataset.frames[0], dataset.frames[1])
 

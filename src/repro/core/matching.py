@@ -74,11 +74,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels import KERNEL_BACKENDS, ResolvedBackend, resolve_backend
+from ..kernels import resolve_backend
 from ..kernels.reference import box_sum_stack as _kernel_box_sum_stack
 from ..kernels.reference import strided_window_sums
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
+from ..options import TrackOptions
 from ..params import NeighborhoodConfig
 from .continuous import (
     N_FIELDS,
@@ -105,9 +106,6 @@ from .surface import SurfaceGeometry
 #: one-or-two-hypothesis chunks because every stage becomes a strided
 #: sweep over main memory.
 DEFAULT_BATCH_BYTES = 2**20
-
-#: Hypothesis-schedule modes accepted by :func:`track_dense`.
-SEARCH_MODES = ("exhaustive", "pruned", "pyramid")
 
 #: Certificate-grid spacing of the pruned engine.  With certificate
 #: half-width ``m = n_zt - 1`` a stride of 3 keeps every pixel within
@@ -378,39 +376,23 @@ def track_dense(
     solves actually performed, charged under ``"Hypothesis matching"``
     -- the observable proof of the pruned schedule's saving.
 
-    ``backend`` selects the kernel execution path
-    (:data:`repro.kernels.KERNEL_BACKENDS`): ``"auto"`` (historical
-    native-when-available dispatch), ``"numpy"`` (pin the reference),
-    ``"native"`` (require the C kernel) -- all three bit-identical --
-    or the opt-in ``"device"`` array-API path, which evaluates whole
-    hypothesis chunks (including certificate grids) on device within
-    the documented tolerance of :mod:`repro.kernels.digest`.
+    ``backend`` selects the kernel execution path: ``"auto"``
+    (historical native-when-available dispatch), ``"numpy"`` (pin the
+    reference) or ``"native"`` (require the C kernel) -- all three
+    bit-identical.  Both names are validated by
+    :class:`repro.options.TrackOptions`.
     """
-    if search not in SEARCH_MODES:
-        raise ValueError(
-            f"unknown search mode {search!r} (choose from {', '.join(SEARCH_MODES)})"
-        )
+    options = TrackOptions(search, backend)
     if engine not in ("batched", "serial"):
         raise ValueError(f"unknown engine {engine!r} (choose 'batched' or 'serial')")
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r} "
-            f"(choose from {', '.join(KERNEL_BACKENDS)})"
-        )
-    if backend == "device" and search == "pyramid":
-        raise ValueError(
-            "backend='device' supports search='exhaustive' and 'pruned'; "
-            "stacking two approximate paths (device + pyramid) is not supported"
-        )
-    resolved = resolve_backend(backend)
+    resolved = resolve_backend(options.backend)
     with TRACER.span(
-        "hypothesis_search", engine=engine, search=search, backend=resolved.resolved
+        "hypothesis_search", engine=engine, search=options.search,
+        backend=resolved.resolved,
     ):
-        if resolved.is_device:
-            result = _track_dense_device(prepared, ridge, batch_bytes, search, resolved)
-        elif search == "pruned":
+        if options.search == "pruned":
             result = _track_dense_pruned(prepared, ridge, resolved.prefer_native)
-        elif search == "pyramid":
+        elif options.search == "pyramid":
             result = _track_dense_pyramid(
                 prepared, ridge, batch_bytes, pyramid_levels, pyramid_refine,
                 resolved.prefer_native,
@@ -751,9 +733,7 @@ def _chunk_after_gradients(
 
     Returns ``(p_a, q_a, delta_y, delta_x)`` with the gradient stacks of
     shape ``(n, H, W)``; the deltas are the per-pixel semi-fluid
-    correspondences (None for the continuous model).  Shared by the
-    batched host engine and the device engine -- the semi-fluid argmin
-    gather stays on host either way, only the field chain moves.
+    correspondences (None for the continuous model).
     """
     config = prepared.config
     shape = prepared.geo_before.shape
@@ -781,137 +761,6 @@ def _chunk_after_gradients(
             p_a[k] = shift2d(geo_a.p, hyp_dy, hyp_dx)
             q_a[k] = shift2d(geo_a.q, hyp_dy, hyp_dx)
     return p_a, q_a, delta_y, delta_x
-
-
-def _track_dense_device(
-    prepared: PreparedFrames,
-    ridge: float,
-    batch_bytes: int,
-    search: str,
-    resolved: ResolvedBackend,
-) -> DenseMatchResult:
-    """Whole hypothesis chunks on the array-API device backend.
-
-    The field build, template box sums, certificate-grid sums and the
-    batched 6x6 eliminate all execute on device
-    (:class:`repro.kernels.device.DeviceBackend`); the host keeps only
-    the semi-fluid gather, the hypothesis schedule and the strict-less
-    merge.  Approximate by contract: results match the host engines
-    within the documented tolerance of :mod:`repro.kernels.digest`, and
-    near-tie pixels may pick a different (equally minimal) hypothesis.
-    """
-    dev = resolved.device
-    config = prepared.config
-    geo_b = prepared.geo_before
-    shape = geo_b.shape
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    shifted_after = None
-    if semifluid:
-        shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
-
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape, dtype=np.float64)
-    best_v = np.zeros(shape, dtype=np.float64)
-    best_params = np.zeros(shape + (6,), dtype=np.float64)
-
-    order = hypothesis_order(config.n_zs)
-    pixels = shape[0] * shape[1]
-    METRICS.inc("hypotheses.evaluated", len(order))
-
-    grid = _CertificateGrid.build(shape, config.n_zt) if search == "pruned" else None
-    if grid is not None:
-        # Certificate-grid pruning with every sum and solve on device;
-        # only the per-pixel survivor bookkeeping stays on host.
-        flat_error = best_error.ravel()
-        flat_u = best_u.ravel()
-        flat_v = best_v.ravel()
-        flat_params = best_params.reshape(-1, 6)
-        cert_solves = 0
-        survivor_solves = 0
-        pruned = 0
-        have_best = False
-        for hyp_dy, hyp_dx in order:
-            chunk = [(hyp_dy, hyp_dx)]
-            p_a, q_a, delta_y, delta_x = _chunk_after_gradients(
-                prepared, chunk, shifted_after
-            )
-            pw = dev.stage_chunk(geo_b.p, geo_b.q, geo_b.e, geo_b.g, p_a, q_a)
-            if have_best:
-                lb_grid, c_grid = dev.certificate_bounds(
-                    pw, grid.m, grid.gy, grid.gx, ridge
-                )
-                cert_solves += grid.systems
-                lb = np.where(grid.in_range, lb_grid[grid.pixel_to_grid], 0.0)
-                slack = CERT_SLACK_REL * c_grid[grid.pixel_to_grid] + CERT_SLACK_ABS
-                survivors = np.flatnonzero(~((lb - slack) > best_error).ravel())
-                pruned += pixels - survivors.size
-            else:
-                survivors = np.arange(pixels)
-            if survivors.size == 0:
-                continue
-            error_s, params_s = dev.solve_template(
-                pw, config.n_zt, ridge, survivors=survivors
-            )
-            survivor_solves += survivors.size
-            have_best = True
-            better = error_s < flat_error[survivors]
-            winners = survivors[better]
-            if winners.size:
-                flat_error[winners] = error_s[better]
-                flat_params[winners] = params_s[better]
-                if semifluid:
-                    flat_u[winners] = delta_x[0].ravel()[winners].astype(np.float64)
-                    flat_v[winners] = delta_y[0].ravel()[winners].astype(np.float64)
-                else:
-                    flat_u[winners] = float(hyp_dx)
-                    flat_v[winners] = float(hyp_dy)
-        METRICS.inc("search.hypotheses.pruned", pruned)
-        METRICS.inc("search.ge_solves.performed", cert_solves + survivor_solves)
-        METRICS.inc("search.ge_solves.saved", pixels * len(order) - survivor_solves)
-        METRICS.inc("search.certificate_solves", cert_solves)
-        return DenseMatchResult(
-            u=best_u,
-            v=best_v,
-            params=best_params,
-            error=best_error,
-            valid=valid_mask(shape, config),
-            hypotheses_evaluated=len(order),
-            ge_solves=cert_solves + survivor_solves,
-            hypotheses_pruned=pruned,
-        )
-
-    # Exhaustive schedule (also pruned when the template is too small
-    # for certificates): chunked exactly like the host batched engine.
-    bytes_per_hypothesis = shape[0] * shape[1] * N_FIELDS * 8
-    chunk_size = max(1, int(batch_bytes) // max(bytes_per_hypothesis, 1))
-    for start in range(0, len(order), chunk_size):
-        chunk = order[start : start + chunk_size]
-        with TRACER.span("hypothesis_chunk", start=start, size=len(chunk)):
-            p_a, q_a, delta_y, delta_x = _chunk_after_gradients(
-                prepared, chunk, shifted_after
-            )
-            pw = dev.stage_chunk(geo_b.p, geo_b.q, geo_b.e, geo_b.g, p_a, q_a)
-            error, params = dev.solve_template(pw, config.n_zt, ridge)
-            for k, (hyp_dy, hyp_dx) in enumerate(chunk):
-                better = error[k] < best_error
-                best_error = np.where(better, error[k], best_error)
-                if semifluid:
-                    best_u = np.where(better, delta_x[k].astype(np.float64), best_u)
-                    best_v = np.where(better, delta_y[k].astype(np.float64), best_v)
-                else:
-                    best_u = np.where(better, float(hyp_dx), best_u)
-                    best_v = np.where(better, float(hyp_dy), best_v)
-                best_params = np.where(better[..., None], params[k], best_params)
-
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=len(order),
-        ge_solves=pixels * len(order),
-    )
 
 
 def _track_dense_pyramid(

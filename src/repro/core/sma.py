@@ -34,10 +34,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..kernels import KERNEL_BACKENDS
+from ..options import TrackOptions
 from ..params import NeighborhoodConfig
 from .field import MotionField
-from .matching import SEARCH_MODES, PreparedFrames, prepare_frames, track_dense, valid_mask
+from .matching import PreparedFrames, prepare_frames, track_dense, valid_mask
 from .prep import FramePreparationCache
 
 
@@ -102,19 +102,10 @@ class SMAnalyzer:
     ridge:
         Stabilizer for the 6x6 normal equations (0 for the strict
         formulation).
-    search:
-        Hypothesis schedule forwarded to
-        :func:`repro.core.matching.track_dense` -- ``"exhaustive"``
-        (default), ``"pruned"`` (bit-identical results, fewer GE
-        solves) or ``"pyramid"`` (approximate coarse-to-fine,
-        continuous model only).
-    backend:
-        Kernel backend forwarded to
-        :func:`repro.core.matching.track_dense` -- ``"auto"`` (default:
-        native C kernel when available, NumPy otherwise, bit-identical
-        either way), ``"numpy"`` (pin the reference path), ``"native"``
-        (require the C kernel) or ``"device"`` (opt-in array-API chunk
-        path, tolerance-equivalent rather than bit-identical).
+    options:
+        Hypothesis schedule and kernel backend forwarded to
+        :func:`repro.core.matching.track_dense`; every schedule is
+        accepted, including the approximate ``"pyramid"``.
     """
 
     def __init__(
@@ -122,24 +113,14 @@ class SMAnalyzer:
         config: NeighborhoodConfig,
         pixel_km: float = 1.0,
         ridge: float = 1e-9,
-        search: str = "exhaustive",
-        backend: str = "auto",
+        options: TrackOptions = TrackOptions(),
     ) -> None:
         if pixel_km <= 0:
             raise ValueError("pixel_km must be positive")
-        if search not in SEARCH_MODES:
-            raise ValueError(
-                f"unknown search mode {search!r} (choose from {', '.join(SEARCH_MODES)})"
-            )
-        if backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r} (choose from {', '.join(KERNEL_BACKENDS)})"
-            )
         self.config = config
         self.pixel_km = pixel_km
         self.ridge = ridge
-        self.search = search
-        self.backend = backend
+        self.options = options
 
     # -- single pair ---------------------------------------------------------------
 
@@ -207,14 +188,15 @@ class SMAnalyzer:
                 )
         prepared = self.prepare(before, after, cache=cache)
         result = track_dense(
-            prepared, ridge=self.ridge, search=self.search, backend=self.backend
+            prepared, ridge=self.ridge, search=self.options.search,
+            backend=self.options.backend,
         )
         metadata = {
             "model": "semi-fluid" if self.config.is_semifluid else "continuous",
             "config": self.config.name,
             "hypotheses": result.hypotheses_evaluated,
-            "search": self.search,
-            "backend": self.backend,
+            "search": self.options.search,
+            "backend": self.options.backend,
         }
         if substituted_dt is not None:
             metadata["dt_substituted"] = True

@@ -3,18 +3,16 @@
 The SMA hypothesis-evaluation chain -- residual rows, packed
 normal-equation fields, template box sums, certificate-grid window sums
 and the batched 6x6 Gaussian elimination -- lives here, decoupled from
-the search orchestration in :mod:`repro.core.matching`.  Three
+the search orchestration in :mod:`repro.core.matching`.  Two
 executions plug into the same chain:
 
 * :mod:`repro.kernels.reference` -- the serial NumPy path; THE
-  bit-identity reference every other backend answers to.
+  bit-identity reference the native kernel answers to.
 * :mod:`repro.native` -- the C kernel for the batched eliminate,
   bitwise-equal by construction and cross-checked on load.
-* :mod:`repro.kernels.device` -- the opt-in array-API path (torch /
-  cupy / numpy fallback) that runs whole hypothesis chunks on device
-  under the documented tolerance of :mod:`repro.kernels.digest`.
 
-:func:`resolve_backend` is the single selection point.  Backend names:
+:func:`resolve_backend` is the single selection point.  Backend names
+(:data:`repro.options.BACKENDS`):
 
 * ``"auto"`` (default) -- exactly the historical behavior: the native
   eliminate when it is available and passes its self-check, the NumPy
@@ -24,10 +22,6 @@ executions plug into the same chain:
 * ``"native"`` -- require the native eliminate; raises with the
   :func:`repro.native.native_status` reason when it is unavailable
   instead of silently degrading.
-* ``"device"`` -- the array-API chunk path.  Approximate by contract
-  (like ``search="pyramid"``), therefore opt-in everywhere and refused
-  by the layers that promise bit-identical products (serve, streaming,
-  the degradation ladder).
 
 Every resolution increments the ``kernel.backend.<resolved>`` metric so
 runs record which kernels actually executed.
@@ -38,13 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..obs.metrics import METRICS
-from .digest import (
-    DEVICE_ATOL,
-    DEVICE_RTOL,
-    compare_results,
-    field_digest,
-    result_digest,
-)
+from ..options import BACKENDS
+from .digest import field_digest, result_digest
 from .reference import (
     A1_ZERO_COLUMNS,
     A2_ZERO_COLUMNS,
@@ -66,9 +55,6 @@ from .reference import (
 __all__ = [
     "A1_ZERO_COLUMNS",
     "A2_ZERO_COLUMNS",
-    "DEVICE_ATOL",
-    "DEVICE_RTOL",
-    "KERNEL_BACKENDS",
     "N_FIELDS",
     "N_PARAMS",
     "N_TRIU",
@@ -79,7 +65,6 @@ __all__ = [
     "box_sum",
     "box_sum_rect",
     "box_sum_stack",
-    "compare_results",
     "eliminate",
     "field_digest",
     "pointwise_fields",
@@ -89,50 +74,29 @@ __all__ = [
     "strided_window_sums",
 ]
 
-#: Backend names accepted by ``track_dense``-level entry points.
-KERNEL_BACKENDS = ("auto", "numpy", "native", "device")
-
-#: The subset guaranteed bit-identical to the NumPy reference -- the
-#: only backends accepted where products promise bit-identity (serve,
-#: streaming, the parallel ladder).
-BITWISE_BACKENDS = ("auto", "numpy", "native")
-
 
 @dataclass(frozen=True)
 class ResolvedBackend:
     """Outcome of one :func:`resolve_backend` call.
 
     ``requested`` is the caller's name; ``resolved`` is the execution
-    path actually taken (``"numpy"``, ``"native"`` or ``"device"``).
+    path actually taken (``"numpy"`` or ``"native"``).
     ``prefer_native`` feeds :func:`repro.core.linalg.gaussian_eliminate`
-    dispatch on the host paths; ``device`` carries the live
-    :class:`repro.kernels.device.DeviceBackend` on the device path.
+    dispatch.
     """
 
     requested: str
     resolved: str
     prefer_native: bool
-    device: object | None = None
-
-    @property
-    def is_device(self) -> bool:
-        return self.device is not None
 
 
 def resolve_backend(name: str = "auto") -> ResolvedBackend:
     """Validate a backend name and bind it to an execution path."""
-    if name not in KERNEL_BACKENDS:
+    if name not in BACKENDS:
         raise ValueError(
-            f"unknown kernel backend {name!r} (choose from {', '.join(KERNEL_BACKENDS)})"
+            f"unknown kernel backend {name!r} (choose from {', '.join(BACKENDS)})"
         )
-    if name == "device":
-        from .device import get_device_backend
-
-        backend = ResolvedBackend(
-            requested=name, resolved="device", prefer_native=False,
-            device=get_device_backend(),
-        )
-    elif name == "native":
+    if name == "native":
         from ..native import native_available, native_status
 
         if not native_available():

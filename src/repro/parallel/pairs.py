@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Sequence
 from ..obs import absorb_payload, worker_init, worker_payload
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
+from ..options import TrackOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.field import MotionField
@@ -98,8 +99,7 @@ def _init_pair_worker(
     pixel_km: float,
     ridge: float,
     tracing: bool = False,
-    search: str = "exhaustive",
-    backend: str = "auto",
+    options: TrackOptions = TrackOptions(),
     frame_ring: str | None = None,
     result_ring: str | None = None,
 ) -> None:
@@ -109,7 +109,7 @@ def _init_pair_worker(
     worker_init(tracing)
     _WORKER_STATE.clear()
     _WORKER_STATE["analyzer"] = SMAnalyzer(
-        config, pixel_km=pixel_km, ridge=ridge, search=search, backend=backend
+        config, pixel_km=pixel_km, ridge=ridge, options=options
     )
     _WORKER_STATE["cache"] = FramePreparationCache(max_frames=4)
     _WORKER_STATE["frame_memo"] = {}
@@ -234,8 +234,7 @@ def _track_pairs_pickle(
                 analyzer.pixel_km,
                 analyzer.ridge,
                 TRACER.enabled,
-                analyzer.search,
-                analyzer.backend,
+                analyzer.options,
             ),
         ) as pool:
             for index, (_, field, _), payload in pool.imap_unordered(
@@ -290,8 +289,7 @@ def _track_pairs_shm(
                 analyzer.pixel_km,
                 analyzer.ridge,
                 TRACER.enabled,
-                analyzer.search,
-                analyzer.backend,
+                analyzer.options,
                 name,
                 f"{name}-out",
             ),
@@ -315,8 +313,7 @@ def _init_ladder_worker(
     config,
     hs_iterations: int,
     tracing: bool = False,
-    search: str = "exhaustive",
-    backend: str = "auto",
+    options: TrackOptions = TrackOptions(),
     frame_ring: str | None = None,
     result_ring: str | None = None,
 ) -> None:
@@ -326,7 +323,7 @@ def _init_ladder_worker(
     worker_init(tracing)
     _WORKER_STATE.clear()
     _WORKER_STATE["ladder"] = DegradationLadder(
-        config, hs_iterations=hs_iterations, search=search, backend=backend
+        config, hs_iterations=hs_iterations, options=options
     )
     _WORKER_STATE["prep_cache"] = FramePreparationCache(max_frames=4)
     if frame_ring is not None:
@@ -410,16 +407,14 @@ class LadderPool:
         config,
         hs_iterations: int,
         workers: int,
-        search: str = "exhaustive",
-        backend: str = "auto",
+        options: TrackOptions = TrackOptions(),
         transport: str = "pickle",
     ) -> None:
         self.transport = resolve_transport(transport)
         self.workers = workers
         self._config = config
         self._hs_iterations = hs_iterations
-        self._search = search
-        self._backend = backend
+        self._options = options
         self._pool = None
         self._frame_ring = None
         self._result_ring = None
@@ -429,7 +424,7 @@ class LadderPool:
             self._pool = _pool_context().Pool(
                 processes=workers,
                 initializer=_init_ladder_worker,
-                initargs=(config, hs_iterations, TRACER.enabled, search, backend),
+                initargs=(config, hs_iterations, TRACER.enabled, options),
             )
 
     @property
@@ -466,8 +461,7 @@ class LadderPool:
                 self._config,
                 self._hs_iterations,
                 TRACER.enabled,
-                self._search,
-                self._backend,
+                self._options,
                 name,
                 f"{name}-out",
             ),

@@ -47,13 +47,14 @@ from ..core.matching import (
 from ..core.prep import FramePreparationCache
 from ..core.semifluid import semifluid_displacements
 from ..core.sma import Frame
-from ..kernels import BITWISE_BACKENDS, resolve_backend
+from ..kernels import resolve_backend
 from ..maspar.cost import CostLedger
 from ..maspar.machine import MachineConfig, scaled_machine
 from ..maspar.mapping import HierarchicalMapping, mapping_for
 from ..maspar.memory import PEMemoryError, PEMemoryTracker
 from ..maspar.readout import DEFAULT_READOUT, RasterScanReadout, SnakeReadout
 from ..obs.tracing import TRACER
+from ..options import TrackOptions
 from ..params import NeighborhoodConfig
 from .memory_plan import max_feasible_segment_rows, plan
 from .segmentation import SegmentedSearch
@@ -131,18 +132,12 @@ class ParallelSMA:
         Template-mapping segment size Z; ``None`` selects the largest
         feasible value (the unsegmented search when memory allows, as
         in the paper's Table 2 run).
-    search:
-        ``"exhaustive"`` (default) or ``"pruned"`` (certificate-bound
-        pruning; bit-identical field, fewer GE charges on the ledger).
-        ``"pyramid"`` is deliberately rejected here: the simulated
-        machine promises products identical to the sequential
-        reference, and the pyramid schedule is approximate.
-    backend:
-        Kernel backend -- one of the *bit-identical* backends
-        (``"auto"``, ``"numpy"``, ``"native"``).  ``"device"`` is
-        rejected for the same reason as the pyramid schedule: the
-        simulated machine promises products identical to the
-        sequential reference.
+    options:
+        Hypothesis schedule and kernel backend, validated with
+        ``exact=True``: ``"pruned"`` is accepted (certificate-bound
+        pruning; bit-identical field, fewer GE charges on the ledger),
+        ``"pyramid"`` is refused because the simulated machine promises
+        products identical to the sequential reference.
     """
 
     def __init__(
@@ -153,29 +148,15 @@ class ParallelSMA:
         segment_rows: int | None = None,
         pixel_km: float = 1.0,
         ridge: float = 1e-9,
-        search: str = "exhaustive",
-        backend: str = "auto",
+        options: TrackOptions = TrackOptions(),
     ) -> None:
-        if search not in ("exhaustive", "pruned"):
-            raise ValueError(
-                f"ParallelSMA supports search='exhaustive' or 'pruned', got {search!r} "
-                "(the parallel run must stay bit-identical to the reference; "
-                "the approximate pyramid schedule is track_dense-only)"
-            )
-        if backend not in BITWISE_BACKENDS:
-            raise ValueError(
-                f"ParallelSMA supports backend in {BITWISE_BACKENDS}, got {backend!r} "
-                "(the parallel run must stay bit-identical to the reference; "
-                "the tolerance-equivalent device backend is track_dense-only)"
-            )
         self.config = config
         self.machine = machine
         self.readout = readout if readout is not None else DEFAULT_READOUT
         self.segment_rows = segment_rows
         self.pixel_km = pixel_km
         self.ridge = ridge
-        self.search = search
-        self.backend = backend
+        self.options = options.validate(exact=True)
 
     # -- internal helpers ------------------------------------------------------------
 
@@ -282,7 +263,7 @@ class ParallelSMA:
                 )
 
         shape = before.shape
-        resolved = resolve_backend(self.backend)
+        resolved = resolve_backend(self.options.backend)
         machine = self._resolve_machine(shape)
         mapping = mapping_for(machine, *shape)
         ledger = CostLedger(machine)
@@ -352,7 +333,7 @@ class ParallelSMA:
         # certificate + survivor eliminations actually performed.
         cert_grid = None
         running_best = None
-        if self.search == "pruned":
+        if self.options.search == "pruned":
             cert_grid = _CertificateGrid.build(shape, self.config.n_zt)
             running_best = np.full(shape, np.inf)
 
@@ -420,8 +401,8 @@ class ParallelSMA:
             "config": self.config.name,
             "machine": f"{machine.nyproc}x{machine.nxproc}",
             "segment_rows": segment_rows,
-            "search": self.search,
-            "backend": self.backend,
+            "search": self.options.search,
+            "backend": self.options.backend,
         }
         if substituted_dt is not None:
             metadata["dt_substituted"] = True

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.sma import Frame
-from ..kernels import BITWISE_BACKENDS
 from ..maspar.cost import CostLedger
 from ..maspar.machine import MachineConfig, scaled_machine
 from ..maspar.memory import PEMemoryError
 from ..obs.log import get_logger, log_event
 from ..obs.metrics import METRICS
+from ..options import TrackOptions
 from ..params import NeighborhoodConfig
 from ..parallel.memory_plan import max_feasible_segment_rows
 from ..parallel.parallel_hs import parallel_horn_schunck
@@ -78,13 +78,10 @@ class DegradationLadder:
         Neighborhood configuration of the run.
     hs_iterations / hs_alpha / hs_tolerance:
         Horn-Schunck fallback parameters (rung 2).
-    search:
-        Hypothesis schedule for the SMA rungs: ``"exhaustive"`` or
-        ``"pruned"`` (bit-identical results, fewer GE charges).
-    backend:
-        Kernel backend for the SMA rungs; restricted to the
-        bit-identical set (``"auto"``, ``"numpy"``, ``"native"``) for
-        the same reason as ``search``.
+    options:
+        Hypothesis schedule and kernel backend for the SMA rungs,
+        validated with ``exact=True`` (streamed and served products
+        must stay bit-identical, so ``"pyramid"`` is refused).
     """
 
     def __init__(
@@ -93,25 +90,13 @@ class DegradationLadder:
         hs_iterations: int = 60,
         hs_alpha: float = 1.0,
         hs_tolerance: float = 1e-4,
-        search: str = "exhaustive",
-        backend: str = "auto",
+        options: TrackOptions = TrackOptions(),
     ) -> None:
-        if search not in ("exhaustive", "pruned"):
-            raise ValueError(
-                f"DegradationLadder supports search='exhaustive' or 'pruned', "
-                f"got {search!r} (streamed products must stay bit-identical)"
-            )
-        if backend not in BITWISE_BACKENDS:
-            raise ValueError(
-                f"DegradationLadder supports backend in {BITWISE_BACKENDS}, "
-                f"got {backend!r} (streamed products must stay bit-identical)"
-            )
         self.config = config
         self.hs_iterations = hs_iterations
         self.hs_alpha = hs_alpha
         self.hs_tolerance = hs_tolerance
-        self.search = search
-        self.backend = backend
+        self.options = options.validate(exact=True)
 
     # -- rungs ----------------------------------------------------------------------
 
@@ -132,8 +117,7 @@ class DegradationLadder:
             self.config,
             machine=machine,
             segment_rows=segment_rows,
-            search=self.search,
-            backend=self.backend,
+            options=self.options,
         )
         result = driver.track_pair(
             Frame(before, intensity=intensity_before),

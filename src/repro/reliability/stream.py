@@ -39,6 +39,7 @@ from ..maspar.machine import MachineConfig
 from ..obs import absorb_payload
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
+from ..options import TrackOptions
 from ..params import NeighborhoodConfig
 from ..parallel.memory_plan import max_feasible_segment_rows, plan as memory_plan
 from ..parallel.parallel_sma import machine_for_image
@@ -92,6 +93,9 @@ class StreamingRunner:
         between consecutive pairs, which a pool cannot honor.  In
         workers mode checkpoints land at wave boundaries (every
         ``workers`` pairs) instead of after every pair.
+    options:
+        Hypothesis schedule and kernel backend of the SMA rungs
+        (validated by the :class:`DegradationLadder` with ``exact=True``).
     """
 
     def __init__(
@@ -104,8 +108,7 @@ class StreamingRunner:
         hs_iterations: int = 60,
         pixel_km: float = 1.0,
         workers: int | None = None,
-        search: str = "exhaustive",
-        backend: str = "auto",
+        options: TrackOptions = TrackOptions(),
         transport: str = "pickle",
     ) -> None:
         from ..parallel.pairs import resolve_transport
@@ -124,15 +127,12 @@ class StreamingRunner:
         self.checkpoint_path = checkpoint_path
         self.pixel_km = pixel_km
         self.workers = workers
-        self.search = search
-        # DegradationLadder validates backend against the bit-identical set.
-        self.backend = backend
         # Pool frame transport ("pickle" or "shm") -- results are
         # bit-identical either way, so the checkpoint fingerprint does
         # NOT record it: a run may resume under the other transport.
         self.transport = resolve_transport(transport)
         self.ladder = DegradationLadder(
-            config, hs_iterations=hs_iterations, search=search, backend=backend
+            config, hs_iterations=hs_iterations, options=options
         )
 
     # -- helpers --------------------------------------------------------------------
@@ -142,19 +142,7 @@ class StreamingRunner:
         c = self.config
         params = f"w{c.n_w}zs{c.n_zs}zt{c.n_zt}ss{c.n_ss}st{c.n_st}"
         base = f"{c.name}:{params}|{shape[0]}x{shape[1]}|{n_pairs}|{plan_digest}"
-        # The default schedule keeps the historical fingerprint so
-        # pre-existing checkpoints still resume; pruned produces
-        # bit-identical fields, but a checkpoint's ledger/GE counts are
-        # schedule-dependent, so the modes must not share checkpoints.
-        if self.search != "exhaustive":
-            base += f"|search={self.search}"
-        # Same reasoning for the kernel backend: "auto", "numpy" and
-        # "native" all produce bit-identical products, but the default
-        # spelling keeps old checkpoints resumable; a non-default pin is
-        # recorded so differently-pinned runs never share a checkpoint.
-        if self.backend != "auto":
-            base += f"|backend={self.backend}"
-        return base
+        return base + self.ladder.options.checkpoint_token()
 
     def _checkpoint_file(self) -> str | None:
         if self.checkpoint_path is None:
@@ -372,8 +360,7 @@ class StreamingRunner:
             self.config,
             self.ladder.hs_iterations,
             n_procs,
-            search=self.search,
-            backend=self.backend,
+            options=self.ladder.options,
             transport=self.transport,
         ) as pool:
             pair = state.pairs_done

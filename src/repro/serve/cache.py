@@ -44,6 +44,7 @@ from ..core.prep import frame_fingerprint
 from ..core.sma import Frame
 from ..ioutil import atomic_write_text
 from ..obs.metrics import METRICS
+from ..options import TrackOptions
 from ..params import NeighborhoodConfig
 
 #: On-disk schema version for the persisted cache index.
@@ -64,21 +65,17 @@ def result_key(
     fit half-width ``n_w``; the remaining dimensions of the product --
     the search/template neighborhoods, the semi-fluid windows, the
     frame timestamps (they set dt, hence wind speeds), the ground
-    sample distance, the product kind, the hypothesis schedule and the
-    kernel backend -- are digested alongside.  The schedule and backend
-    tokens are part of the key even though ``"pruned"`` fields are
-    bit-identical to ``"exhaustive"`` (and every servable backend is
-    bit-identical to NumPy): the artifact's metadata records how it was
-    produced, and keeping the modes separate means a cached product
-    never misreports its provenance (the cost is one cold recomputation
-    per mode).
+    sample distance, the product kind, and the hypothesis schedule and
+    kernel backend (:meth:`repro.options.TrackOptions.cache_token`) --
+    are digested alongside.
     """
+    options = TrackOptions(search, backend)
     h = hashlib.blake2b(digest_size=20)
     c = config
     h.update(
         f"kind={kind};cfg={c.name};zs={c.n_zs};zt={c.n_zt};"
-        f"ss={c.n_ss};st={c.n_st};pixel_km={pixel_km!r};search={search};"
-        f"backend={backend};".encode()
+        f"ss={c.n_ss};st={c.n_st};pixel_km={pixel_km!r};"
+        f"{options.cache_token()}".encode()
     )
     for frame in frames:
         h.update(frame_fingerprint(frame.surface, frame.intensity, config).encode())

@@ -53,6 +53,7 @@ import json
 import logging
 import os
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -73,18 +74,12 @@ from ..obs.export import chrome_trace
 from ..obs.log import get_logger, log_event
 from ..obs.metrics import METRICS
 from ..obs.prom import PROM_CONTENT_TYPE, render_exposition, wants_exposition
+from ..options import TrackOptions
 from ..reliability.injection import ServeChaosPlan
 from ..reliability.retry import PHASE_RECOVERY, RetryPolicy
 from .cache import ResultCache
 from .slo import SLOConfig, SLOTracker
-from .jobs import (
-    SERVABLE_BACKENDS,
-    SERVABLE_SEARCH_MODES,
-    Job,
-    JobRequest,
-    JobValidationError,
-    ServeLimits,
-)
+from .jobs import Job, JobRequest, JobValidationError, ServeLimits
 from .queue import JobQueue, LoadShedError, LoadShedPolicy, QueueFullError
 from .store import NodeRegistry, SharedJobStore, default_node_id
 from .workers import WorkerPool
@@ -93,6 +88,9 @@ _LOG = get_logger("serve.http")
 
 #: Ledger phase charged with serve-side stalls (none today; reserved).
 PHASE_SERVING = "Serving"
+
+#: How often a drain re-checks that some worker can still make progress.
+_PROGRESS_RECHECK_SECONDS = 0.5
 
 
 class ServeApp:
@@ -111,8 +109,7 @@ class ServeApp:
         cache_bytes: int = 256 * 1024 * 1024,
         limits: ServeLimits | None = None,
         hs_iterations: int = 60,
-        search_mode: str = "exhaustive",
-        backend: str = "auto",
+        options: TrackOptions = TrackOptions(),
         lease_seconds: float = 15.0,
         max_attempts: int = 3,
         job_timeout_seconds: float | None = 300.0,
@@ -126,17 +123,6 @@ class ServeApp:
         node: str | None = None,
         shed_watermark: float | None = None,
     ) -> None:
-        if search_mode not in SERVABLE_SEARCH_MODES:
-            raise ValueError(
-                f"unknown search_mode {search_mode!r} "
-                f"(choose from {', '.join(SERVABLE_SEARCH_MODES)})"
-            )
-        if backend not in SERVABLE_BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r} "
-                f"(choose from {', '.join(SERVABLE_BACKENDS)}; served products "
-                "promise bit-identity, so the device backend is not servable)"
-            )
         from ..parallel.pairs import resolve_transport
 
         os.makedirs(state_dir, exist_ok=True)
@@ -157,8 +143,8 @@ class ServeApp:
                 parse_ring_url(source), config=live_config
             )
         self.hs_iterations = hs_iterations
-        self.search_mode = search_mode
-        self.backend = backend
+        #: Served products promise bit-identity: exact schedules only.
+        self.options = options.validate(exact=True)
         self.chaos = chaos if chaos is not None and not chaos.is_empty else None
         self.ledger = CostLedger(GODDARD_MP2)
         self._ledger_lock = threading.Lock()
@@ -243,17 +229,65 @@ class ServeApp:
             )
         return self
 
+    def _can_progress(self) -> bool:
+        """Whether any worker can still run queued jobs.
+
+        That is a started, unpaused local worker, or -- in fleet mode --
+        another node whose registry heartbeat is younger than a lease
+        and which runs workers.  A node silent for a whole lease is
+        dead: its leases are due for reaping, so it runs nothing.
+        """
+        pool = self.pool
+        if pool.workers > 0 and self._started and not pool.stopped and not pool.paused:
+            return True
+        if self.registry is None:
+            return False
+        return any(
+            node != self.node
+            and entry.get("workers", 0) > 0
+            and entry["age_seconds"] < self.queue.lease_seconds
+            for node, entry in self.registry.nodes().items()
+        )
+
+    def wait_idle(self, timeout: float | None = None) -> bool:
+        """Wait until no accepted job is active, but only while some
+        worker can make progress (:meth:`_can_progress`).
+
+        Returns True once idle.  Returns False when ``timeout`` expires,
+        or at once, logging ``serve.drain.stranded`` with the job counts,
+        when the remaining jobs are stranded; :meth:`drain` then persists
+        them for the next server.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            if not self._can_progress():
+                if self.queue.wait_idle(timeout=0):
+                    return True
+                log_event(
+                    _LOG, logging.WARNING, "serve.drain.stranded",
+                    counts=self.queue.counts(),
+                )
+                return False
+            step = _PROGRESS_RECHECK_SECONDS
+            if deadline is not None:
+                step = min(step, max(0.0, deadline - time.monotonic()))
+            if self.queue.wait_idle(timeout=step):
+                return True
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
+
     def drain(self, timeout: float | None = None) -> bool:
         """Stop admitting, finish every accepted job, persist, stop workers.
 
         Returns True when the queue fully drained (zero accepted jobs
-        lost); False only if ``timeout`` expired first.
+        lost); False if ``timeout`` expired first or no worker is left
+        to run the remaining jobs (see :meth:`wait_idle`).
         """
         self.draining = True
         METRICS.set_gauge("serve.draining", 1.0)
         if self.live is not None:
             self.live.stop()
-        drained = self.queue.wait_idle(timeout=timeout)
+        drained = self.wait_idle(timeout=timeout)
         self.pool.stop()
         if self.queue.state_path:
             self.queue.save()
@@ -384,10 +418,12 @@ class ServeApp:
             raise JobValidationError("priority must be an integer")
         # The server's configured schedule/backend are defaults, not
         # overrides: a payload naming its own wins (and is validated).
-        if isinstance(payload, dict) and "search_mode" not in payload:
-            payload = {**payload, "search_mode": self.search_mode}
-        if isinstance(payload, dict) and "backend" not in payload:
-            payload = {**payload, "backend": self.backend}
+        if isinstance(payload, dict):
+            payload = {
+                "search_mode": self.options.search,
+                "backend": self.options.backend,
+                **payload,
+            }
         request = JobRequest.from_payload(payload, limits=self.limits)
         if self.shed is not None:
             depth = self.queue.depth()

@@ -28,6 +28,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+from ..options import TrackOptions
+
 #: Dataset keys the serving layer accepts (mirrors ``repro.cli``).
 SERVABLE_DATASETS = ("florida", "frederic", "luis")
 
@@ -44,15 +46,6 @@ JOB_STATES = ("pending", "running", "retrying", "done", "dead")
 
 #: States that count as accepted-but-unfinished (the drain gate).
 ACTIVE_STATES = ("pending", "running", "retrying")
-
-#: Hypothesis schedules a served job may request.  Pyramid is refused:
-#: served products promise bit-identity with the reference pipeline.
-SERVABLE_SEARCH_MODES = ("exhaustive", "pruned")
-
-#: Kernel backends a served job may request.  These are exactly the
-#: bit-identical backends (:data:`repro.kernels.BITWISE_BACKENDS`);
-#: ``"device"`` is refused for the same reason pyramid is.
-SERVABLE_BACKENDS = ("auto", "numpy", "native")
 
 
 class JobValidationError(ValueError):
@@ -98,18 +91,10 @@ class JobRequest:
             raise JobValidationError(
                 f"unknown job kind {self.kind!r} (choose from {', '.join(JOB_KINDS)})"
             )
-        if self.search_mode not in SERVABLE_SEARCH_MODES:
-            raise JobValidationError(
-                f"unknown search_mode {self.search_mode!r} "
-                f"(choose from {', '.join(SERVABLE_SEARCH_MODES)}; the approximate "
-                "pyramid schedule is not servable)"
-            )
-        if self.backend not in SERVABLE_BACKENDS:
-            raise JobValidationError(
-                f"unknown backend {self.backend!r} "
-                f"(choose from {', '.join(SERVABLE_BACKENDS)}; the "
-                "tolerance-equivalent device backend is not servable)"
-            )
+        try:
+            self.options.validate(exact=True)
+        except ValueError as exc:
+            raise JobValidationError(f"search_mode/backend: {exc}") from exc
         for name in ("size", "frames", "seed", "pair", "search", "template"):
             if not isinstance(getattr(self, name), int):
                 raise JobValidationError(f"{name} must be an integer")
@@ -172,6 +157,11 @@ class JobRequest:
                 f"admission limits ({limits.max_search}/{limits.max_template})"
             )
         return request
+
+    @property
+    def options(self) -> TrackOptions:
+        """The request's ``search_mode``/``backend`` wire fields as options."""
+        return TrackOptions(self.search_mode, self.backend)
 
     def canonical(self) -> dict:
         """Sorted-key dict form -- the deduplication identity."""

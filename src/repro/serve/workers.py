@@ -54,6 +54,7 @@ from ..data.datasets import Dataset
 from ..obs.log import get_logger, log_context, log_event
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
+from ..options import TrackOptions
 from ..parallel.memory_plan import max_feasible_segment_rows
 from ..parallel.parallel_sma import machine_for_image
 from ..reliability.degrade import DegradationLadder
@@ -164,6 +165,10 @@ class WorkerPool:
     @property
     def paused(self) -> bool:
         return self._paused.is_set()
+
+    @property
+    def stopped(self) -> bool:
+        return self._stop.is_set()
 
     def restart_workers(self) -> int:
         """Rolling restart: signal each worker to exit after its current
@@ -306,16 +311,10 @@ class WorkerPool:
                 return
 
             compute_started = time.perf_counter()
-            if request.kind == "pair":
-                field, rung = self._compute_pair(
-                    frames, config, dataset.pixel_km, request.search_mode,
-                    request.backend,
-                )
-            else:
-                field, rung = self._compute_sequence(
-                    frames, config, dataset.pixel_km, request.search_mode,
-                    request.backend,
-                )
+            compute = (
+                self._compute_pair if request.kind == "pair" else self._compute_sequence
+            )
+            field, rung = compute(frames, config, dataset.pixel_km, request.options)
             compute_seconds = time.perf_counter() - compute_started
             METRICS.observe("serve.compute.seconds", compute_seconds)
             self._flight("compute", job, seconds=round(compute_seconds, 6), rung=rung)
@@ -340,8 +339,7 @@ class WorkerPool:
         frames,
         config,
         pixel_km,
-        search_mode: str = "exhaustive",
-        backend: str = "auto",
+        options: TrackOptions,
     ) -> tuple[MotionField, int]:
         """One frame pair under the degradation ladder (bit-identical to
         ``track_dense`` on the healthy rung 0)."""
@@ -356,8 +354,7 @@ class WorkerPool:
         ladder = DegradationLadder(
             config,
             hs_iterations=self.app.hs_iterations,
-            search=search_mode,
-            backend=backend,
+            options=options,
         )
         result, steps = ladder.track_pair(
             before.surface,
@@ -384,8 +381,8 @@ class WorkerPool:
                 "model": "semi-fluid" if config.is_semifluid else "continuous",
                 "config": config.name,
                 "rung": result.rung,
-                "search": search_mode,
-                "backend": backend,
+                "search": options.search,
+                "backend": options.backend,
             },
         )
         return field, result.rung
@@ -395,13 +392,10 @@ class WorkerPool:
         frames,
         config,
         pixel_km,
-        search_mode: str = "exhaustive",
-        backend: str = "auto",
+        options: TrackOptions,
     ) -> tuple[MotionField, int]:
         """Mean field over all pairs; fork-pool sharded when configured."""
-        analyzer = SMAnalyzer(
-            config, pixel_km=pixel_km, search=search_mode, backend=backend
-        )
+        analyzer = SMAnalyzer(config, pixel_km=pixel_km, options=options)
         fields = analyzer.track_sequence(
             frames,
             workers=self.app.pool_workers,
@@ -431,8 +425,8 @@ class WorkerPool:
                 "model": "semi-fluid" if config.is_semifluid else "continuous",
                 "config": config.name,
                 "pairs": n,
-                "search": search_mode,
-                "backend": backend,
+                "search": options.search,
+                "backend": options.backend,
             },
         )
         return field, 0

@@ -258,3 +258,29 @@ def test_mark_closed_is_visible_to_attached_readers(ring_name):
         reader.close()
         ring.unlink()
         ring.close()
+
+
+def test_attach_retries_a_segment_that_is_still_empty(ring_name, monkeypatch):
+    """A segment mapped between the creator's shm_open and ftruncate is
+    empty; attach must retry it like a missing one, not raise."""
+    from repro.bus import ring as ring_module
+
+    real = ring_module.shared_memory.SharedMemory
+    calls = []
+
+    def empty_once(*args, **kwargs):
+        if not kwargs.get("create") and not calls:
+            calls.append("empty")
+            raise ValueError("cannot mmap an empty file")
+        return real(*args, **kwargs)
+
+    ring = FrameRing.create_frames(ring_name, capacity=1, height=8, width=8)
+    monkeypatch.setattr(ring_module.shared_memory, "SharedMemory", empty_once)
+    try:
+        attached = FrameRing.attach(ring_name, timeout=5.0, poll=0.001)
+        assert calls == ["empty"]
+        assert attached.capacity == 1
+        attached.close()
+    finally:
+        ring.unlink()
+        ring.close()

@@ -23,9 +23,12 @@ from repro.core.matching import (
 from repro.data import hurricane_luis
 from repro.maspar.cost import CostLedger
 from repro.maspar.machine import GODDARD_MP2
+from repro.options import TrackOptions
 from repro.stereo.pyramid import upsample_flow
 
 from ..conftest import translated_pair
+
+PRUNED = TrackOptions("pruned")
 
 FIELD_NAMES = ("u", "v", "params", "error", "valid")
 
@@ -86,7 +89,7 @@ class TestPrunedBitIdentity:
         exhaustive = SMAnalyzer(small_continuous_config).track_pair(
             frame, frame, dt_seconds=60.0
         )
-        pruned = SMAnalyzer(small_continuous_config, search="pruned").track_pair(
+        pruned = SMAnalyzer(small_continuous_config, options=PRUNED).track_pair(
             frame, frame, dt_seconds=60.0
         )
         assert np.array_equal(exhaustive.u, pruned.u)
@@ -184,13 +187,13 @@ class TestValidationAndThreading:
 
     def test_analyzer_rejects_unknown_mode(self, small_continuous_config):
         with pytest.raises(ValueError, match="unknown search mode"):
-            SMAnalyzer(small_continuous_config, search="telepathy")
+            SMAnalyzer(small_continuous_config, options=TrackOptions("telepathy"))
 
     def test_analyzer_metadata_records_search(
         self, small_continuous_config, translation_frames
     ):
         f0, f1 = translation_frames
-        field = SMAnalyzer(small_continuous_config, search="pruned").track_pair(
+        field = SMAnalyzer(small_continuous_config, options=PRUNED).track_pair(
             f0, f1, dt_seconds=60.0
         )
         assert field.metadata["search"] == "pruned"
@@ -202,7 +205,7 @@ class TestValidationAndThreading:
         exhaustive = SMAnalyzer(small_continuous_config).track_pair(
             f0, f1, dt_seconds=60.0
         )
-        pruned = SMAnalyzer(small_continuous_config, search="pruned").track_pair(
+        pruned = SMAnalyzer(small_continuous_config, options=PRUNED).track_pair(
             f0, f1, dt_seconds=60.0
         )
         assert np.array_equal(exhaustive.u, pruned.u)

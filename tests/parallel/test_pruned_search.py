@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.matching import track_dense
 from repro.maspar.machine import scaled_machine
+from repro.options import TrackOptions
 from repro.parallel.parallel_sma import ParallelSMA
 from repro.reliability.degrade import DegradationLadder
 from repro.reliability.stream import StreamingRunner
@@ -30,7 +31,7 @@ class TestParallelSMAPruned:
             small_semifluid_config, machine=machine
         ).track_pair(f0, f1)
         pruned = ParallelSMA(
-            small_semifluid_config, machine=machine, search="pruned"
+            small_semifluid_config, machine=machine, options=TrackOptions("pruned")
         ).track_pair(f0, f1)
         for name in ("u", "v", "params", "error"):
             np.testing.assert_array_equal(
@@ -48,7 +49,7 @@ class TestParallelSMAPruned:
         f0, f1 = translation_frames
         seq = track_dense(prepared_continuous, search="pruned")
         par = ParallelSMA(
-            small_continuous_config, machine=machine, search="pruned"
+            small_continuous_config, machine=machine, options=TrackOptions("pruned")
         ).track_pair(f0, f1)
         np.testing.assert_array_equal(seq.u, par.field.u)
         np.testing.assert_array_equal(seq.v, par.field.v)
@@ -56,13 +57,13 @@ class TestParallelSMAPruned:
 
     def test_rejects_pyramid(self, small_continuous_config):
         with pytest.raises(ValueError, match="pyramid"):
-            ParallelSMA(small_continuous_config, search="pyramid")
+            ParallelSMA(small_continuous_config, options=TrackOptions("pyramid"))
 
 
 class TestLadderAndStreamPlumbing:
     def test_ladder_rejects_pyramid(self, small_continuous_config):
         with pytest.raises(ValueError, match="exhaustive"):
-            DegradationLadder(small_continuous_config, search="pyramid")
+            DegradationLadder(small_continuous_config, options=TrackOptions("pyramid"))
 
     def test_ladder_pruned_matches_exhaustive(
         self, translation_frames, small_continuous_config, machine
@@ -73,7 +74,7 @@ class TestLadderAndStreamPlumbing:
             f0, f1, machine, planned, dt_seconds=60.0
         )
         pruned, _ = DegradationLadder(
-            small_continuous_config, search="pruned"
+            small_continuous_config, options=TrackOptions("pruned")
         ).track_pair(f0, f1, machine, planned, dt_seconds=60.0)
         np.testing.assert_array_equal(base.u, pruned.u)
         np.testing.assert_array_equal(base.v, pruned.v)
@@ -88,7 +89,7 @@ class TestLadderAndStreamPlumbing:
         """Old checkpoints (written before search modes existed) must
         still resume under the default schedule."""
         default = StreamingRunner(small_continuous_config)
-        pruned = StreamingRunner(small_continuous_config, search="pruned")
+        pruned = StreamingRunner(small_continuous_config, options=TrackOptions("pruned"))
         fp_default = default._fingerprint((64, 64), 3)
         fp_pruned = pruned._fingerprint((64, 64), 3)
         assert "search=" not in fp_default

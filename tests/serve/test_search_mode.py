@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.sma import Frame
+from repro.options import TrackOptions
 from repro.params import GOES9_CONFIG
 from repro.serve.cache import result_key
 from repro.serve.http import ServeApp
@@ -34,6 +35,8 @@ class TestRequestValidation:
     def test_pyramid_refused(self):
         with pytest.raises(JobValidationError, match="pyramid"):
             JobRequest(dataset="florida", search_mode="pyramid")
+        with pytest.raises(JobValidationError, match="unknown search mode"):
+            JobRequest(dataset="florida", search_mode="telepathy")
 
     def test_payload_with_search_mode(self):
         request = JobRequest.from_payload(
@@ -59,11 +62,13 @@ class TestResultKey:
 
 class TestServerDefault:
     def test_app_rejects_unknown_default(self, tmp_path):
-        with pytest.raises(ValueError, match="search_mode"):
-            ServeApp(str(tmp_path / "bad"), workers=0, search_mode="pyramid")
+        with pytest.raises(ValueError, match="'pyramid' is approximate"):
+            ServeApp(str(tmp_path / "bad"), workers=0, options=TrackOptions("pyramid"))
+        with pytest.raises(ValueError, match="unknown search mode"):
+            ServeApp(str(tmp_path / "bad"), workers=0, options=TrackOptions("telepathy"))
 
     def test_submit_injects_server_default(self, tmp_path):
-        app = ServeApp(str(tmp_path / "state"), workers=0, search_mode="pruned")
+        app = ServeApp(str(tmp_path / "state"), workers=0, options=TrackOptions("pruned"))
         try:
             job, _ = app.submit_payload({"dataset": "florida", "size": 48})
             assert job.request.search_mode == "pruned"

@@ -118,3 +118,37 @@ class TestAppIntegration:
             assert not isinstance(exc.value, LoadShedError)
         finally:
             app.drain(timeout=5.0)
+
+
+class TestDrainWithoutWorkers:
+    def test_stranded_jobs_end_the_drain_promptly(self, tmp_path):
+        import logging
+        import time
+
+        from repro.serve.http import ServeApp
+
+        state = str(tmp_path / "state")
+        app = ServeApp(state, workers=0, queue_depth=4).start()
+        for seed in range(2):
+            app.submit_payload({"dataset": "florida", "size": 48, "seed": seed})
+        records = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("repro.serve.http")
+        logger.addHandler(handler)
+        try:
+            started = time.monotonic()
+            assert app.drain(timeout=60.0) is False
+            elapsed = time.monotonic() - started
+        finally:
+            logger.removeHandler(handler)
+        assert elapsed < 2.0
+        messages = [r.getMessage() for r in records]
+        stranded = [m for m in messages if m.startswith("serve.drain.stranded")]
+        assert len(stranded) == 1 and "'pending': 2" in stranded[0]
+        # the queue was persisted: a restarted server still owns both jobs
+        restarted = ServeApp(state, workers=0)
+        try:
+            assert restarted.queue.counts()["pending"] == 2
+        finally:
+            restarted.queue.close()
