@@ -261,7 +261,6 @@ def test_rolling_restart_loses_zero_jobs(tmp_path, results_dir):
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
             "--state-dir", str(state_dir),
-            "--fleet",
             "--workers", "0",
             "--node", "frontend",
             "--lease-seconds", "2",

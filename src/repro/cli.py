@@ -275,11 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker threads in each --nodes worker process",
     )
     serve.add_argument(
-        "--fleet", action="store_true",
-        help="fleet mode without spawning nodes: share the state dir "
-        "with externally launched 'repro serve-worker' processes",
-    )
-    serve.add_argument(
         "--shed-watermark", type=float, default=None, metavar="F",
         help="load-shed watermark as a fraction of --queue-depth: past "
         "it, lowest-priority submissions are shed first (429 + "
@@ -291,8 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_worker = sub.add_parser(
         "serve-worker",
         help="one worker node of a serve fleet: claims jobs from the "
-        "shared state dir (no HTTP listener); pair with 'repro serve "
-        "--fleet' or --nodes",
+        "shared state dir (no HTTP listener); pair with a 'repro serve' "
+        "on the same --state-dir",
     )
     _add_serve_tuning_arguments(serve_worker)
     _add_obs_arguments(serve_worker)
@@ -316,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     admin.add_argument(
         "--state-dir", type=str, default=None, metavar="DIR",
-        help="operate directly on a *stopped* server's state directory "
-        "(mutually exclusive with --url)",
+        help="operate directly on a state directory through the job "
+        "store, safe beside running servers (mutually exclusive with --url)",
     )
     admin.add_argument(
         "--job", type=str, default=None, metavar="JOB_ID",
@@ -380,8 +375,10 @@ def _add_serve_tuning_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--node", type=str, default=None, metavar="ID",
-        help="fleet node identity (default: hostname-pid); stamps "
-        "leases, flight-recorder events, and serve.node.* gauges",
+        help="fleet node identity (default: the hostname, stable across "
+        "restarts; nodes sharing a state dir on one host need distinct "
+        "ids); stamps leases, flight-recorder events, and serve.node.* "
+        "gauges, and a restarted node revokes its own stale leases",
     )
     parser.add_argument(
         "--search-mode", choices=EXACT_SEARCH_MODES, default="exhaustive",
@@ -815,7 +812,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _serve_app_from_args(
     args: argparse.Namespace,
     workers: int,
-    fleet: bool = False,
     node: str | None = None,
     source: str | None = None,
     shed_watermark: float | None = None,
@@ -850,7 +846,6 @@ def _serve_app_from_args(
         slo=slo,
         transport=args.transport,
         source=source,
-        fleet=fleet,
         node=node,
         shed_watermark=shed_watermark,
     )
@@ -898,14 +893,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.frontend import make_async_server
 
     _arm_observability(args)
-    fleet = args.fleet or args.nodes > 0
     # A frontend that spawned worker nodes defaults to zero local
     # workers -- compute lives on the nodes; otherwise the classic 2.
     workers = args.workers if args.workers is not None else (0 if args.nodes else 2)
     app = _serve_app_from_args(
         args,
         workers=workers,
-        fleet=fleet,
         node=args.node if args.nodes == 0 else f"{args.node or 'node'}-frontend",
         source=args.source,
         shed_watermark=args.shed_watermark,
@@ -918,10 +911,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if app.chaos is not None and not app.chaos.is_empty:
         chaos_note = f", CHAOS ARMED seed={app.chaos.seed}"
     ring_note = f", live ring://{app.live.ring_name}" if app.live is not None else ""
-    fleet_note = f", fleet node {app.node} (+{len(children)} worker nodes)" if fleet else ""
+    nodes_note = f" (+{len(children)} worker nodes)" if children else ""
     print(f"repro serve listening on http://{host}:{port} "
           f"(workers={workers}, queue depth={args.queue_depth}, "
-          f"transport={app.transport}{fleet_note}{ring_note}{chaos_note})",
+          f"transport={app.transport}, node {app.node}{nodes_note}"
+          f"{ring_note}{chaos_note})",
           flush=True)
 
     def _drain_and_stop(signum, frame) -> None:
@@ -971,7 +965,7 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
 
     _arm_observability(args)
     workers = args.workers if args.workers is not None else 2
-    app = _serve_app_from_args(args, workers=workers, fleet=True, node=args.node)
+    app = _serve_app_from_args(args, workers=workers, node=args.node)
     app.start()
     print(f"repro serve-worker node {app.node} joined the fleet at "
           f"{args.state_dir} (workers={workers})", flush=True)
@@ -998,10 +992,12 @@ def _cmd_serve_admin(args: argparse.Namespace) -> int:
     """Operator console: dead-letter list/requeue + flight recorder.
 
     Two transports: ``--url`` talks to a live server over HTTP;
-    ``--state-dir`` opens a *stopped* server's journal directly (the
-    queue flushes the requeue back to disk before exiting; the flight
-    recorder is read-only and torn-tail tolerant, so ``flightlog``
-    works against a SIGKILLed server's directory).
+    ``--state-dir`` opens the state directory through the job store as
+    one more node (``serve-admin``, which holds no leases): reads take
+    the fleet lock and change nothing, and a requeue is one journal
+    record appended under that lock.  The flight recorder is read-only
+    and torn-tail tolerant, so ``flightlog`` works against a SIGKILLed
+    server's directory.
     """
     if (args.url is None) == (args.state_dir is None):
         print("error: pass exactly one of --url or --state-dir", file=sys.stderr)
@@ -1040,22 +1036,21 @@ def _cmd_serve_admin(args: argparse.Namespace) -> int:
             return 0
         jobs = body["jobs"]
     else:
-        import os
+        from .serve import SharedJobStore
 
-        from .serve import JobQueue
-
-        state_path = os.path.join(args.state_dir, "queue.json")
-        queue = JobQueue(max_depth=1_000_000, state_path=state_path)
-        if args.action == "requeue":
-            try:
-                job = queue.requeue(args.job_id)
-            except (KeyError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            queue.save()
-            print(f"requeued {job.id} (state={job.state})")
-            return 0
-        jobs = [job.to_dict() for job in queue.list_jobs(state="dead")]
+        store = SharedJobStore(args.state_dir, node="serve-admin", max_depth=1_000_000)
+        try:
+            if args.action == "requeue":
+                try:
+                    job = store.requeue(args.job_id)
+                except (KeyError, ValueError) as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 1
+                print(f"requeued {job.id} (state={job.state})")
+                return 0
+            jobs = [job.to_dict() for job in store.list_jobs(state="dead")]
+        finally:
+            store.dispose()
 
     if not jobs:
         print("dead-letter queue is empty")

@@ -59,8 +59,8 @@ LIFECYCLE_EVENTS = (
 class FlightRecorder:
     """Bounded, crash-safe JSONL journal of job-lifecycle events.
 
-    ``path`` is the active segment (conventionally ``flight.jsonl``
-    inside the serve state directory); rotated segments live alongside
+    ``path`` is the active segment (conventionally
+    ``flight-<node>.jsonl`` inside the serve state directory); rotated segments live alongside
     as ``<path>.1``, ``<path>.2``, ... up to ``keep_segments - 1``
     archives.  All methods are thread-safe.
     """
@@ -215,19 +215,18 @@ class FlightRecorder:
                 self._handle = None
 
 
-def flight_journal_path(state_dir: str, node: str | None = None) -> str:
-    """The flight-journal path convention: ``flight.jsonl`` for a
-    single-process server, ``flight-<node>.jsonl`` per fleet node."""
-    name = "flight.jsonl" if node is None else f"flight-{node}.jsonl"
-    return os.path.join(state_dir, name)
+def flight_journal_path(state_dir: str, node: str) -> str:
+    """The flight-journal path convention: ``flight-<node>.jsonl``."""
+    return os.path.join(state_dir, f"flight-{node}.jsonl")
 
 
 def discover_flight_journals(state_dir: str) -> list[str]:
     """Every flight-journal segment in a state directory, sorted.
 
-    Covers the single-process ``flight.jsonl``, per-node
-    ``flight-<node>.jsonl`` journals, and their rotated ``.N``
-    archives -- everything :func:`merge_flight_journals` should see.
+    Covers the per-node ``flight-<node>.jsonl`` journals, the
+    ``flight.jsonl`` that servers before per-node journals wrote, and
+    their rotated ``.N`` archives -- everything
+    :func:`merge_flight_journals` should see.
     """
     try:
         names = sorted(os.listdir(state_dir))

@@ -8,12 +8,10 @@ pipelines, operational cloud-motion forecasting):
 
 * :mod:`repro.serve.jobs`    -- the validated job request model and its
   canonical dedup fingerprint,
-* :mod:`repro.serve.queue`   -- a durable priority job queue with
-  request deduplication, bounded depth (explicit backpressure), lease
-  grants with heartbeat reaping, bounded retry with exponential backoff,
-  a dead-letter quarantine, and a checksummed write-ahead journal with
-  torn-write-tolerant replay so a killed-and-restarted server resumes
-  every accepted job,
+* :mod:`repro.serve.queue`   -- the in-memory scheduling core: request
+  deduplication, bounded depth (explicit backpressure), a priority
+  heap, lease grants with heartbeat reaping, bounded retry with
+  exponential backoff, and a dead-letter quarantine,
 * :mod:`repro.serve.cache`   -- a content-addressed result cache keyed
   on frame fingerprints + SMA parameters (LRU under a byte budget,
   atomic ``.npz`` artifacts), so identical requests never recompute,
@@ -31,14 +29,15 @@ pipelines, operational cloud-motion forecasting):
   ``GET /healthz``, ``GET /metrics`` with Prometheus content
   negotiation) wired to :mod:`repro.obs`, plus graceful drain and the
   crash-safe flight recorder (:mod:`repro.obs.events`),
-* :mod:`repro.serve.store`   -- the fleet layer: a cross-process
-  :class:`SharedJobStore` (many ``repro serve-worker`` nodes over one
-  state directory, flock-serialized WAL replication, fleet-wide dedup
-  and lease reaping) and the :class:`NodeRegistry` heartbeat roster,
+* :mod:`repro.serve.store`   -- the one durable job store: a
+  cross-process :class:`SharedJobStore` (every node over one state
+  directory, a checksummed write-ahead journal with flock-serialized
+  replication and torn-write-tolerant replay, fleet-wide dedup and
+  lease reaping, so a killed-and-restarted server resumes every
+  accepted job) and the :class:`NodeRegistry` heartbeat roster,
 * :mod:`repro.serve.frontend` -- the asyncio HTTP frontend: one event
-  loop multiplexing thousands of clients over the shared
-  :func:`~repro.serve.http.route` dispatcher, byte-identical responses
-  to the threaded server.
+  loop multiplexing thousands of clients over the
+  :func:`~repro.serve.http.route` dispatcher.
 
 Serve-mode chaos (``repro serve --chaos``) arms a seeded
 :class:`~repro.reliability.injection.ServeChaosPlan` that crashes,
@@ -53,17 +52,11 @@ from __future__ import annotations
 from ..reliability.injection import ServeChaosPlan
 from .cache import ResultCache, result_key
 from .frontend import AsyncFrontend, make_async_server
-from .http import ServeApp, make_server, route
+from .http import ServeApp, route
 from .jobs import ACTIVE_STATES, JOB_STATES, Job, JobRequest, JobValidationError, ServeLimits
-from .queue import (
-    JobQueue,
-    LoadShedError,
-    LoadShedPolicy,
-    QueueFullError,
-    QueueJournal,
-)
+from .queue import JobQueue, LoadShedError, LoadShedPolicy, QueueFullError
 from .slo import SLOConfig, SLOTracker
-from .store import NodeRegistry, SharedJobStore, default_node_id
+from .store import NodeRegistry, QueueJournal, SharedJobStore, default_node_id
 from .workers import WorkerPool
 
 __all__ = [
@@ -89,7 +82,6 @@ __all__ = [
     "WorkerPool",
     "default_node_id",
     "make_async_server",
-    "make_server",
     "result_key",
     "route",
 ]

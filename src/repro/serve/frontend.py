@@ -1,23 +1,19 @@
 """Asyncio HTTP frontend: thousands of clients, no thread per socket.
 
-:class:`AsyncFrontend` replaces the thread-per-connection
-:class:`~http.server.ThreadingHTTPServer` in front of a
+:class:`AsyncFrontend` is the one HTTP server in front of a
 :class:`~repro.serve.http.ServeApp`.  One event loop multiplexes every
 client connection (keep-alive HTTP/1.1), and each parsed request is
-dispatched to the shared :func:`repro.serve.http.route` function on a
-small worker-thread pool -- ``route`` ends in locks, file reads, and
-queue mutations, none of which belong on the event loop.  Because both
-surfaces serve the same ``route``, responses are byte-identical to the
-threaded server's; the existing ``/v1/*`` API, the 429 drain-rate
-backpressure, the load-shed 429s, and the Prometheus/JSON ``/metrics``
-negotiation all carry over unchanged.
+dispatched to the :func:`repro.serve.http.route` function on a small
+worker-thread pool -- ``route`` ends in locks, file reads, and queue
+mutations, none of which belong on the event loop.  ``route`` carries
+the ``/v1/*`` API, the 429 drain-rate backpressure, the load-shed 429s,
+and the Prometheus/JSON ``/metrics`` negotiation.
 
 The blocking facade (:meth:`serve_forever` / :meth:`shutdown` /
-``server_address`` / :meth:`server_close`) deliberately mirrors
-``ThreadingHTTPServer`` so the CLI's signal-driven drain loop works
-with either server unmodified.  The listening socket binds in the
-constructor -- callers read ``server_address`` before serving, exactly
-as with the stdlib server.
+``server_address`` / :meth:`server_close`) follows the stdlib
+``socketserver`` shape, which the CLI's signal-driven drain loop uses.
+The listening socket binds in the constructor -- callers read
+``server_address`` before serving.
 
 Concurrency bound: the event loop accepts any number of sockets, but at
 most ``dispatch_threads`` requests execute concurrently -- everything
@@ -48,7 +44,7 @@ MAX_BODY_BYTES = 1024 * 1024
 class AsyncFrontend:
     """Event-loop HTTP server over a :class:`ServeApp`.
 
-    ``ThreadingHTTPServer``-shaped: construct (binds the socket), read
+    ``socketserver``-shaped: construct (binds the socket), read
     ``server_address``, call :meth:`serve_forever` on a thread, stop it
     with :meth:`shutdown`, release the port with :meth:`server_close`.
     """
@@ -87,7 +83,7 @@ class AsyncFrontend:
 
     def shutdown(self) -> None:
         """Stop :meth:`serve_forever` from another thread; blocks until
-        the loop has exited (the ``ThreadingHTTPServer`` contract)."""
+        the loop has exited (the ``socketserver`` contract)."""
         loop, stop = self._loop, self._stop
         if loop is not None and stop is not None and not loop.is_closed():
             with contextlib.suppress(RuntimeError):

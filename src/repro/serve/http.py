@@ -35,14 +35,16 @@ Routes (all JSON unless noted):
   Prometheus ``text/plain; version=0.0.4`` exposition instead (see
   :mod:`repro.obs.prom`).
 
-:class:`ServeApp` owns the queue, result cache, worker pool, shared
+:class:`ServeApp` owns the job store, result cache, worker pool, shared
 preparation cache and the serving :class:`~repro.maspar.cost.CostLedger`;
-:func:`make_server` binds it to a :class:`ThreadingHTTPServer`.
+:func:`~repro.serve.frontend.make_async_server` serves it over HTTP.
+Every app is one node of a fleet over its state directory -- a fleet of
+one unless other nodes share the directory.
 Graceful drain: stop admitting, finish every accepted job, persist
 state, then shut the listener down -- SIGTERM loses nothing.  Ungraceful
-death loses nothing either: the queue journals every accepted mutation,
+death loses nothing either: the store journals every accepted mutation,
 so a SIGKILLed server restarts with each job pending, retrying, done,
-or dead (see :mod:`repro.serve.queue`).  Retry backoffs and reaper
+or dead (see :mod:`repro.serve.store`).  Retry backoffs and reaper
 delays are charged to the ledger under the shared ``Fault recovery``
 phase, so ``GET /metrics`` accounts recovery time next to compute.
 """
@@ -54,7 +56,6 @@ import logging
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -80,7 +81,7 @@ from ..reliability.retry import PHASE_RECOVERY, RetryPolicy
 from .cache import ResultCache
 from .slo import SLOConfig, SLOTracker
 from .jobs import Job, JobRequest, JobValidationError, ServeLimits
-from .queue import JobQueue, LoadShedError, LoadShedPolicy, QueueFullError
+from .queue import LoadShedError, LoadShedPolicy, QueueFullError
 from .store import NodeRegistry, SharedJobStore, default_node_id
 from .workers import WorkerPool
 
@@ -97,7 +98,8 @@ class ServeApp:
     """Everything behind the HTTP surface, usable without HTTP too.
 
     Tests and benchmarks drive :meth:`submit_payload` / :meth:`drain`
-    directly; the CLI wraps it in :func:`make_server`.
+    directly; the CLI serves it through
+    :func:`~repro.serve.frontend.make_async_server`.
     """
 
     def __init__(
@@ -119,7 +121,6 @@ class ServeApp:
         transport: str = "pickle",
         source: str | None = None,
         live_config=None,
-        fleet: bool = False,
         node: str | None = None,
         shed_watermark: float | None = None,
     ) -> None:
@@ -148,24 +149,22 @@ class ServeApp:
         self.chaos = chaos if chaos is not None and not chaos.is_empty else None
         self.ledger = CostLedger(GODDARD_MP2)
         self._ledger_lock = threading.Lock()
-        #: Fleet mode: this app is one node of many over a shared state
-        #: directory -- the queue becomes the cross-process
-        #: :class:`SharedJobStore`, the flight journal becomes per-node,
-        #: and a :class:`NodeRegistry` heartbeat announces membership.
-        self.fleet = bool(fleet)
-        self.node = node or (default_node_id() if fleet else None)
-        self.registry = NodeRegistry(state_dir) if fleet else None
+        #: This app's node of the fleet over ``state_dir``: the job store
+        #: is the cross-process :class:`SharedJobStore`, the flight
+        #: journal is per node, and a :class:`NodeRegistry` heartbeat
+        #: announces membership.
+        self.node = node or default_node_id()
+        self.registry = NodeRegistry(state_dir)
         #: Optional priority-aware load shedding above a depth watermark.
         self.shed = (
             LoadShedPolicy(shed_watermark) if shed_watermark is not None else None
         )
         #: Crash-safe lifecycle journal; every queue/worker transition
         #: lands here and powers ``GET /v1/jobs/{id}/trace``.  One
-        #: journal per fleet node (``flight-<node>.jsonl``), merged by
+        #: journal per node (``flight-<node>.jsonl``), merged by
         #: ``repro serve-admin flightlog`` and the trace route.
         self.recorder = FlightRecorder(
-            flight_journal_path(state_dir, self.node if fleet else None),
-            node=self.node if fleet else None,
+            flight_journal_path(state_dir, self.node), node=self.node
         )
         self.slo = slo or SLOConfig()
         self.slo_tracker = SLOTracker(self.slo)
@@ -175,29 +174,17 @@ class ServeApp:
             backoff_factor=2.0,
             jitter=0.0,
         )
-        if fleet:
-            self.queue = SharedJobStore(
-                state_dir,
-                node=self.node,
-                max_depth=queue_depth,
-                lease_seconds=lease_seconds,
-                job_timeout_seconds=job_timeout_seconds,
-                retry_policy=retry_policy,
-                on_recovery_seconds=self._charge_recovery,
-                recorder=self.recorder,
-                on_terminal=self.slo_tracker.record_job,
-            )
-        else:
-            self.queue = JobQueue(
-                max_depth=queue_depth,
-                state_path=os.path.join(state_dir, "queue.json"),
-                lease_seconds=lease_seconds,
-                job_timeout_seconds=job_timeout_seconds,
-                retry_policy=retry_policy,
-                on_recovery_seconds=self._charge_recovery,
-                recorder=self.recorder,
-                on_terminal=self.slo_tracker.record_job,
-            )
+        self.queue = SharedJobStore(
+            state_dir,
+            node=self.node,
+            max_depth=queue_depth,
+            lease_seconds=lease_seconds,
+            job_timeout_seconds=job_timeout_seconds,
+            retry_policy=retry_policy,
+            on_recovery_seconds=self._charge_recovery,
+            recorder=self.recorder,
+            on_terminal=self.slo_tracker.record_job,
+        )
         self.cache = ResultCache(
             os.path.join(state_dir, "cache"), max_bytes=cache_bytes
         )
@@ -232,16 +219,14 @@ class ServeApp:
     def _can_progress(self) -> bool:
         """Whether any worker can still run queued jobs.
 
-        That is a started, unpaused local worker, or -- in fleet mode --
-        another node whose registry heartbeat is younger than a lease
-        and which runs workers.  A node silent for a whole lease is
+        That is a started, unpaused local worker, or another node whose
+        registry heartbeat is younger than a lease and which runs
+        workers.  A node silent for a whole lease is
         dead: its leases are due for reaping, so it runs nothing.
         """
         pool = self.pool
         if pool.workers > 0 and self._started and not pool.stopped and not pool.paused:
             return True
-        if self.registry is None:
-            return False
         return any(
             node != self.node
             and entry.get("workers", 0) > 0
@@ -289,10 +274,8 @@ class ServeApp:
             self.live.stop()
         drained = self.wait_idle(timeout=timeout)
         self.pool.stop()
-        if self.queue.state_path:
-            self.queue.save()
-        if self.registry is not None:
-            self.registry.remove(self.node)
+        self.queue.save()
+        self.registry.remove(self.node)
         self.recorder.close()
         log_event(
             _LOG, logging.INFO, "serve.drained",
@@ -314,8 +297,7 @@ class ServeApp:
         if self.live is not None:
             self.live.stop()
         self.pool.stop()
-        if self.registry is not None:
-            self.registry.remove(self.node)
+        self.registry.remove(self.node)
         self.recorder.close()
         log_event(
             _LOG, logging.INFO, "serve.node_stopped",
@@ -352,8 +334,6 @@ class ServeApp:
 
     def publish_node_heartbeat(self) -> None:
         """Refresh this node's registry heartbeat (supervisor cadence)."""
-        if self.registry is None:
-            return
         with self._ledger_lock:
             ge_solves = self.ledger.gaussian_eliminations()
         self.registry.heartbeat(
@@ -364,12 +344,9 @@ class ServeApp:
             draining=self.draining,
         )
 
-    def fleet_payload(self) -> dict | None:
+    def fleet_payload(self) -> dict:
         """Fleet roster + per-node breakdown; publishes ``serve.node.*``
-        gauges as a side effect so scrapes see the same numbers.  None
-        outside fleet mode."""
-        if not self.fleet:
-            return None
+        gauges as a side effect so scrapes see the same numbers."""
         running = self.queue.running_by_node()
         roster = self.registry.nodes()
         nodes: dict[str, dict] = {}
@@ -505,20 +482,13 @@ class ServeApp:
         (``traceEvents``) that opens directly in Perfetto.
         """
         job = self.queue.get(job_id)
-        if self.fleet:
-            # This node's in-memory ring only holds the events *it*
-            # recorded (a frontend typically has just ``submitted``);
-            # the full story is the merged on-disk journals of every
-            # node that touched the job.
-            events = [
-                e
-                for e in merge_flight_journals(
-                    discover_flight_journals(self.state_dir)
-                )
-                if e.get("job") == job_id
-            ]
-        else:
-            events = self.recorder.events(job_id)
+        # The full story is the merged on-disk journals of every node
+        # that touched the job, not this node's in-memory ring.
+        events = [
+            e
+            for e in merge_flight_journals(discover_flight_journals(self.state_dir))
+            if e.get("job") == job_id
+        ]
         if job is None and not events:
             return 404, {"error": f"unknown job {job_id!r}"}
         trace = job_trace(events, job=job.to_dict() if job is not None else None)
@@ -553,10 +523,9 @@ class ServeApp:
             "cache_entries": len(self.cache),
             "cache_bytes": self.cache.total_bytes(),
             "slo": slo,
+            "node": self.node,
+            "fleet": self.fleet_payload(),
         }
-        if self.fleet:
-            payload["node"] = self.node
-            payload["fleet"] = self.fleet_payload()
         if self.live is not None:
             payload["ring"] = self.live.state()
         return payload
@@ -580,8 +549,7 @@ class ServeApp:
             "counts": self.queue.counts(),
             "retry_after_seconds": self.queue.retry_after_hint(),
         }
-        if fleet is not None:
-            payload["fleet"] = fleet
+        payload["fleet"] = fleet
         return payload
 
     def metrics_exposition(self) -> str:
@@ -659,11 +627,9 @@ def route(
 ) -> tuple[int, bytes, str, dict]:
     """Dispatch one request; ``(status, body, content type, headers)``.
 
-    Transport-independent routing shared by the thread-per-connection
-    :class:`ServeHandler` and the asyncio
-    :class:`~repro.serve.frontend.AsyncFrontend` -- both surfaces serve
-    byte-identical responses because both serve *this* function.
-    ``target`` is the raw request target (path + optional query);
+    Transport-independent routing behind the asyncio
+    :class:`~repro.serve.frontend.AsyncFrontend`; tests call it
+    directly.  ``target`` is the raw request target (path + optional query);
     ``accept`` drives the ``/metrics`` content negotiation.
     """
 
@@ -751,47 +717,3 @@ def route(
         return as_json(status, payload)
     return as_json(404, {"error": f"no such route {path!r}"})
 
-
-class ServeHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto a :class:`ServeApp` (set by subclassing)."""
-
-    app: ServeApp = None  # type: ignore[assignment]
-    server_version = "repro-serve"
-
-    # -- plumbing ---------------------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        log_event(
-            _LOG, logging.DEBUG, "serve.http",
-            client=self.client_address[0], line=format % args,
-        )
-
-    def _dispatch(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length", "0") or 0)
-        body = self.rfile.read(length) if length > 0 else b""
-        status, payload, content_type, headers = route(
-            self.app, method, self.path, body, accept=self.headers.get("Accept")
-        )
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_POST(self) -> None:  # noqa: N802 -- http.server API
-        self._dispatch("POST")
-
-    def do_GET(self) -> None:  # noqa: N802 -- http.server API
-        self._dispatch("GET")
-
-
-def make_server(
-    app: ServeApp, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
-    """A :class:`ThreadingHTTPServer` bound to ``app`` (port 0 = ephemeral)."""
-    handler = type("BoundServeHandler", (ServeHandler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server

@@ -1,4 +1,4 @@
-"""Durable priority job queue: leases, retry/backoff, dead-letter quarantine.
+"""Priority job queue core: leases, retry/backoff, dead-letter quarantine.
 
 The admission contract, in order of evaluation on submit:
 
@@ -29,45 +29,33 @@ dropped as stale.
 **Retry and dead-letter.** A failed or reaped job requeues as
 ``retrying`` with exponential backoff (the shared
 :class:`~repro.reliability.retry.RetryPolicy`) until its attempt budget
-is exhausted, at which point it moves to the persistent ``dead`` state:
+is exhausted, at which point it moves to the ``dead`` state:
 inspectable via ``GET /v1/jobs?state=dead`` and revivable with
 ``repro serve-admin requeue``.  A poison job quarantines alone; it
 never takes the pool down and never blocks other work.
 
-**Durability.** Accepting mutations append one checksummed JSONL record
-to a write-ahead journal (``<state_path>.wal``); a full snapshot
-(``state_path``) is written atomically on :meth:`save` and whenever the
-journal is compacted.  Replay is torn-write tolerant: a record half
-written when the process was SIGKILLed fails its checksum (or does not
-parse) and is discarded together with everything after it -- never
-fatal, never able to corrupt acknowledged jobs, because a job is only
-acknowledged to the client *after* its record is on disk.  A restarted
-server therefore resumes with every accepted job in exactly one of
-pending / retrying / done / dead -- jobs that were mid-run come back
-``pending`` with their lease revoked and the crashed attempt counted.
+**No I/O.** This module is the in-memory scheduling core: dedup,
+the priority heap, leases, retry and the dead-letter queue.  It opens
+no files.  Every accepting mutation calls the :meth:`JobQueue._append`
+hook with the lock held, and :class:`~repro.serve.store.SharedJobStore`,
+the one durable store, journals the job there before the mutation is
+acknowledged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import logging
-import os
 import secrets
 import threading
 import time
 from collections import deque
 
-from ..ioutil import atomic_write_text
 from ..obs.log import get_logger, log_event
 from ..obs.metrics import METRICS
 from ..reliability.retry import RetryPolicy
 from .jobs import ACTIVE_STATES, JOB_STATES, Job, JobRequest
-
-#: On-disk schema version for the persisted queue state.  Version 1
-#: (PR-4 full-state rewrites) is still restorable.
-STATE_VERSION = 2
 
 #: Bounds on the drain-rate-derived ``Retry-After`` hint.
 RETRY_AFTER_MIN = 0.1
@@ -145,93 +133,8 @@ class LoadShedPolicy:
         return {"watermark": self.watermark}
 
 
-def _encode_record(record: dict) -> bytes:
-    """One self-checksummed JSONL journal line (newline terminated)."""
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    crc = hashlib.blake2b(body.encode(), digest_size=8).hexdigest()
-    line = json.dumps({"crc": crc, "r": record}, sort_keys=True, separators=(",", ":"))
-    return line.encode() + b"\n"
-
-
-def _decode_record(line: bytes) -> dict | None:
-    """Parse + verify one journal line; None for torn/corrupt data."""
-    try:
-        wrapper = json.loads(line.decode("utf-8"))
-        record = wrapper["r"]
-        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        if hashlib.blake2b(body.encode(), digest_size=8).hexdigest() != wrapper["crc"]:
-            return None
-        if "rev" not in record or "job" not in record:
-            return None
-        return record
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-        return None
-
-
-class QueueJournal:
-    """Append-only write-ahead log of job records.
-
-    Each append is a single buffered ``write`` of one complete line,
-    flushed before the caller acknowledges the mutation.  Replay stops
-    at the first record that fails to parse or checksum -- a torn tail
-    from a crash mid-write is discarded, not fatal.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = None
-        self.records_since_compact = 0
-
-    def append(self, record: dict) -> int:
-        """Append one record; returns the bytes written (for WAL cursors)."""
-        if self._handle is None:
-            self._handle = open(self.path, "ab")  # noqa: SIM115 -- long-lived WAL
-        data = _encode_record(record)
-        self._handle.write(data)
-        self._handle.flush()
-        self.records_since_compact += 1
-        return len(data)
-
-    def append_newline(self) -> int:
-        """Terminate a torn tail left by a crashed writer (fleet WALs)."""
-        if self._handle is None:
-            self._handle = open(self.path, "ab")  # noqa: SIM115 -- long-lived WAL
-        self._handle.write(b"\n")
-        self._handle.flush()
-        return 1
-
-    def replay(self) -> tuple[list[dict], int]:
-        """(valid records in order, count of discarded torn/corrupt lines)."""
-        if not os.path.exists(self.path):
-            return [], 0
-        with open(self.path, "rb") as handle:
-            raw = handle.read()
-        records: list[dict] = []
-        lines = [line for line in raw.split(b"\n") if line]
-        for position, line in enumerate(lines):
-            record = _decode_record(line)
-            if record is None:
-                # Everything after a torn record is unordered garbage.
-                return records, len(lines) - position
-            records.append(record)
-        return records, 0
-
-    def reset(self) -> None:
-        """Truncate after a compaction snapshot has superseded the log."""
-        if self._handle is not None:
-            self._handle.close()
-        self._handle = open(self.path, "wb")  # noqa: SIM115 -- long-lived WAL
-        self._handle.flush()
-        self.records_since_compact = 0
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
 class JobQueue:
-    """Bounded, deduplicating, lease-granting, persistent priority queue.
+    """Bounded, deduplicating, lease-granting priority queue (in memory).
 
     Thread-safe: submits arrive from HTTP handler threads while worker
     threads claim/renew and the reaper revokes, so every mutation runs
@@ -241,12 +144,10 @@ class JobQueue:
     def __init__(
         self,
         max_depth: int = 64,
-        state_path: str | None = None,
         *,
         lease_seconds: float = 15.0,
         job_timeout_seconds: float | None = None,
         retry_policy: RetryPolicy | None = None,
-        compact_every: int = 512,
         on_recovery_seconds=None,
         recorder=None,
         on_terminal=None,
@@ -258,13 +159,11 @@ class JobQueue:
         if job_timeout_seconds is not None and job_timeout_seconds <= 0:
             raise ValueError("job_timeout_seconds must be > 0 when set")
         self.max_depth = max_depth
-        self.state_path = state_path
         self.lease_seconds = lease_seconds
         self.job_timeout_seconds = job_timeout_seconds
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=3, backoff_seconds=0.25, backoff_factor=2.0, jitter=0.0
         )
-        self.compact_every = max(1, compact_every)
         #: Callback charged with modeled recovery seconds (backoffs) so
         #: the serving ledger accounts reaper/retry delay like any other
         #: stall; None outside a :class:`~repro.serve.http.ServeApp`.
@@ -283,14 +182,10 @@ class JobQueue:
         self._heap: list[tuple[int, int, str]] = []
         self._active_by_fingerprint: dict[str, str] = {}
         self._seq = 0
-        self._rev = 0
         self._closed = False
         #: Wall-clock finish times of recent done/dead transitions --
         #: the drain-rate sample behind the Retry-After hint.
         self._finished_at: deque[float] = deque(maxlen=32)
-        self._journal = QueueJournal(state_path + ".wal") if state_path else None
-        if state_path:
-            self._restore(state_path)
 
     # -- submission -------------------------------------------------------------------
 
@@ -298,9 +193,9 @@ class JobQueue:
         """Queue a request; returns ``(job, created)``.
 
         ``created`` is False when the request deduplicated onto an
-        existing active (pending/running/retrying) job.  The job is
-        journaled before this method returns -- acknowledgement implies
-        durability.
+        existing active (pending/running/retrying) job.  The job passes
+        through :meth:`_append` before this method returns, so in the
+        durable store acknowledgement implies durability.
         """
         fingerprint = request.fingerprint()
         with self._cond:
@@ -684,58 +579,10 @@ class JobQueue:
             self._closed = True
             self._cond.notify_all()
 
-    # -- persistence ------------------------------------------------------------------
-
-    def to_state(self) -> dict:
-        """JSON-ready queue state (deterministic for identical histories)."""
-        with self._cond:
-            return self._state_locked()
-
-    def _state_locked(self) -> dict:
-        return {
-            "version": STATE_VERSION,
-            "seq": self._seq,
-            "max_depth": self.max_depth,
-            "jobs": [self._jobs[job_id].to_dict() for job_id in sorted(self._jobs)],
-        }
-
-    def save(self, path: str | None = None) -> str:
-        """Persist a full snapshot atomically; returns the path written.
-
-        Writing to the configured ``state_path`` also truncates the
-        journal -- the snapshot supersedes it.
-        """
-        target = path or self.state_path
-        if target is None:
-            raise ValueError("no state path configured")
-        with self._cond:
-            atomic_write_text(target, json.dumps(self._state_locked(), sort_keys=True))
-            if self._journal is not None and target == self.state_path:
-                self._journal.reset()
-        return target
-
     def _append(self, job: Job) -> None:
-        # Called with the lock held.  One flushed line per accepting
-        # mutation -- O(record) instead of PR-4's O(queue) full rewrite.
-        if self._journal is None:
-            return
-        self._rev += 1
-        record = {"rev": self._rev, "seq": self._seq, "job": job.to_dict()}
-        record.update(self._record_extra())
-        written = self._journal.append(record)
-        self._after_append(written)
-        METRICS.inc("serve.journal.records")
-        if self._journal.records_since_compact >= self.compact_every:
-            self._compact_locked()
-
-    def _record_extra(self) -> dict:
-        """Extra journal-record fields; the shared fleet store stamps
-        the writing node's identity here."""
-        return {}
-
-    def _after_append(self, written_bytes: int) -> None:
-        """Hook after a journal append; the shared fleet store advances
-        its WAL read cursor past its own records here."""
+        """Hook after every accepting mutation (lock held): the durable
+        :class:`~repro.serve.store.SharedJobStore` journals ``job`` here;
+        the in-memory core keeps nothing."""
 
     def _flight(self, event: str, job: Job, ts: float | None = None,
                 worker: str | None = None, **fields) -> None:
@@ -752,76 +599,6 @@ class JobQueue:
             )
         except OSError:
             METRICS.inc("serve.flight.write_errors")
-
-    def _compact_locked(self) -> None:
-        atomic_write_text(
-            self.state_path, json.dumps(self._state_locked(), sort_keys=True)
-        )
-        self._journal.reset()
-        METRICS.inc("serve.journal.compactions")
-
-    def _restore(self, path: str) -> None:
-        """Rebuild state from snapshot + journal; tolerant of every
-        partial-crash artifact.
-
-        A missing-but-configured snapshot and an empty snapshot file are
-        the same situation -- a server that never persisted -- and both
-        start clean with a structured log line rather than diverging.
-        Torn or corrupt trailing journal records are discarded (with a
-        warning and a metric), never fatal.
-        """
-        snapshot_jobs: list[dict] = []
-        if not os.path.exists(path):
-            log_event(
-                _LOG, logging.INFO, "serve.queue.starting_clean",
-                path=path, reason="state file missing",
-            )
-        else:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-            if not text.strip():
-                log_event(
-                    _LOG, logging.INFO, "serve.queue.starting_clean",
-                    path=path, reason="state file empty",
-                )
-            else:
-                payload = json.loads(text)
-                if payload.get("version") not in (1, STATE_VERSION):
-                    raise ValueError(
-                        f"unsupported queue state version {payload.get('version')!r}"
-                    )
-                self._seq = int(payload["seq"])
-                snapshot_jobs = payload["jobs"]
-        for record in snapshot_jobs:
-            job = Job.from_dict(record)
-            self._jobs[job.id] = job
-
-        journal = QueueJournal(path + ".wal")
-        records, discarded = journal.replay()
-        journal.close()
-        for record in records:
-            self._seq = max(self._seq, int(record.get("seq", 0)))
-            self._rev = max(self._rev, int(record.get("rev", 0)))
-            job = Job.from_dict(record["job"])
-            self._jobs[job.id] = job  # last record wins
-        if discarded:
-            METRICS.inc("serve.journal.torn_discarded", float(discarded))
-            log_event(
-                _LOG, logging.WARNING, "serve.journal.torn_tail_discarded",
-                path=journal.path, discarded=discarded, replayed=len(records),
-            )
-
-        for job in sorted(self._jobs.values(), key=lambda j: j.seq):
-            if job.state in ("pending", "retrying"):
-                heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
-            if job.state in ACTIVE_STATES:
-                self._active_by_fingerprint[job.request.fingerprint()] = job.id
-        METRICS.inc("serve.queue.restored_jobs", float(len(self._jobs)))
-        self._publish_gauges()
-        if self._journal is not None and (self._jobs or records or discarded):
-            # Fold the replayed journal into a fresh snapshot so a crash
-            # loop cannot grow the WAL without bound.
-            self._compact_locked()
 
     # -- internals --------------------------------------------------------------------
 

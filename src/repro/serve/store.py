@@ -1,13 +1,12 @@
-"""Shared fleet job store: one durable queue, many serve nodes.
+"""The durable job store: one journal-backed queue shared by every node.
 
-:class:`SharedJobStore` turns the single-process :class:`JobQueue` into
-a fleet-wide store.  Multiple processes -- ``repro serve-worker`` nodes
-and the async frontend, on the same machine or on different machines
-sharing the state directory over a common filesystem -- each hold an
-instance over the *same* directory and coordinate through three files:
+Every server is a fleet of one or more nodes over one state directory.
+Each process -- ``repro serve``, ``repro serve-worker`` nodes, the
+``serve-admin`` console -- holds a :class:`SharedJobStore` over the
+same directory, on one machine or on several sharing a filesystem, and
+they coordinate through these files:
 
-* ``queue.json``      -- the compaction snapshot (same schema as the
-  single-process queue; a fleet state dir downgrades cleanly),
+* ``queue.json``      -- the compaction snapshot,
 * ``queue.json.wal``  -- the shared write-ahead journal.  Every
   mutation appends one checksummed record *while holding the fleet
   lock*; every operation first replays the records other nodes wrote
@@ -19,33 +18,39 @@ instance over the *same* directory and coordinate through three files:
   invalidated by another node's compaction reloads from the snapshot
   instead of silently missing records.
 
-Lease semantics are unchanged -- and that is the point: a lease granted
-on node A is visible to node B, so *any* node's reaper can requeue work
-a dead node stranded, and A's zombie completion is dropped on the same
-stale-token check as before.  Unlike the single-process restart path, a
-(re)loading fleet node does **not** revoke running jobs' leases: a job
-running on another node is healthy, and lease expiry -- not process
-restart -- is the fleet-wide truth about worker death.
+**Leases.** A lease granted on node A is visible to node B, so *any*
+node's reaper can requeue work a dead node stranded, and A's zombie
+completion is dropped on the stale-token check.  A loading store
+revokes at once the leases held by its own node's workers (worker ids
+``<node>/...``): they belong to the node's previous run, which is gone,
+so a restarted server re-runs its jobs without waiting out
+``lease_seconds``.  Other nodes' leases are left to lease expiry, the
+fleet-wide truth about worker death.  Node ids are therefore stable
+across restarts and distinct between live nodes.
 
-Cross-process claims cannot ride a condition variable, so
-:meth:`claim` polls: one non-blocking attempt under the fleet lock,
-then a short bounded wait (local submits still wake the wait early).
-``close()`` stays process-local -- a worker node draining for restart
-must not stop the rest of the fleet from accepting work.
+**Claims.** Cross-process claims cannot ride a condition variable, so
+:meth:`SharedJobStore.claim` makes one attempt under the fleet lock and
+then waits at most ``poll_seconds`` on the local condition variable.
+The wait begins under the same hold as the failed attempt, so a local
+submit wakes it at once.  ``close()`` stays process-local -- a node
+draining for restart must not stop the rest of the fleet from
+accepting work.
 
-Torn-tail handling differs from the single-process WAL: a writer
-SIGKILLed mid-append leaves a line without a newline, and the *next*
-writer would otherwise glue its record onto the stump.  Readers
-therefore only consume newline-terminated lines (an undecodable
-complete line is counted and skipped, never fatal), and a writer that
-observed a torn tail terminates it with a bare newline before
-appending, sacrificing exactly the torn record -- which was never
+**One torn-journal rule** (:meth:`QueueJournal.read`).  Readers only
+consume newline-terminated lines.  A complete line that fails to parse
+or checksum is counted and skipped, and later records still apply; the
+last record of a job wins, so a later record supersedes a skipped one.
+A writer SIGKILLed mid-append leaves a line without a newline, and the
+next writer would otherwise glue its record onto the stump, so a writer
+that observed a torn tail terminates it with a bare newline before
+appending.  That sacrifices exactly the torn record, which was never
 acknowledged to any client.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import heapq
 import json
 import logging
@@ -55,35 +60,134 @@ import time
 
 try:  # pragma: no cover - exercised implicitly on every POSIX test run
     import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback (single-node)
+except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
 from ..ioutil import atomic_write_text
 from ..obs.log import get_logger, log_event
 from ..obs.metrics import METRICS
 from .jobs import ACTIVE_STATES, Job
-from .queue import STATE_VERSION, JobQueue, _decode_record
+from .queue import JobQueue
 
 _LOG = get_logger("serve.store")
+
+#: On-disk schema version of the snapshot.  Version 1 (full-state
+#: rewrites without a journal) is still loadable.
+STATE_VERSION = 2
 
 #: Default bounded wait between cross-process claim attempts.
 DEFAULT_POLL_SECONDS = 0.05
 
 
 def default_node_id() -> str:
-    """A node identity unique across the fleet: host + pid."""
-    return f"{socket.gethostname()}-{os.getpid()}"
+    """The default node identity: the hostname, stable across restarts.
+
+    Two nodes on one host that share a state dir need distinct ids.
+    """
+    return socket.gethostname()
+
+
+def _encode_record(record: dict) -> bytes:
+    """One self-checksummed JSONL journal line (newline terminated)."""
+    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    crc = hashlib.blake2b(body.encode(), digest_size=8).hexdigest()
+    line = json.dumps({"crc": crc, "r": record}, sort_keys=True, separators=(",", ":"))
+    return line.encode() + b"\n"
+
+
+def _decode_record(line: bytes) -> dict | None:
+    """Parse + verify one journal line; None for torn/corrupt data."""
+    try:
+        wrapper = json.loads(line.decode("utf-8"))
+        record = wrapper["r"]
+        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        if hashlib.blake2b(body.encode(), digest_size=8).hexdigest() != wrapper["crc"]:
+            return None
+        if "rev" not in record or "job" not in record:
+            return None
+        return record
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+        return None
+
+
+class QueueJournal:
+    """The queue's write-ahead log: one checksummed JSONL record a line.
+
+    Each append is a single write of one complete line, flushed before
+    the caller acknowledges the mutation.  :meth:`read` is the only
+    reader of the log.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._handle = None
+        self.records_since_compact = 0
+
+    def _write(self, data: bytes) -> int:
+        if self._handle is None:
+            self._handle = open(self.path, "ab")  # noqa: SIM115 -- long-lived WAL
+        self._handle.write(data)
+        self._handle.flush()
+        return len(data)
+
+    def append(self, record: dict) -> int:
+        """Append one record; returns the bytes written (for WAL cursors)."""
+        self.records_since_compact += 1
+        return self._write(_encode_record(record))
+
+    def terminate_torn_tail(self) -> int:
+        """End a torn tail left by a crashed writer with a bare newline."""
+        return self._write(b"\n")
+
+    def read(self, offset: int = 0) -> tuple[list[dict], int, int, int]:
+        """``(records, bytes consumed, lines skipped, torn bytes)`` from
+        byte ``offset`` on.
+
+        Only newline-terminated lines are consumed; the torn bytes after
+        the last newline are left for a later read.  A complete line
+        that fails to parse or checksum is skipped and counted, and the
+        records after it are still returned.
+        """
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(offset)
+                raw = handle.read()
+        except FileNotFoundError:
+            return [], 0, 0, 0
+        consumed = raw.rfind(b"\n") + 1
+        records: list[dict] = []
+        skipped = 0
+        for line in raw[:consumed].split(b"\n"):
+            if not line:
+                continue
+            record = _decode_record(line)
+            if record is None:
+                skipped += 1
+            else:
+                records.append(record)
+        return records, consumed, skipped, len(raw) - consumed
+
+    def reset(self) -> None:
+        """Truncate after a compaction snapshot has superseded the log."""
+        if self._handle is not None:
+            self._handle.close()
+        self._handle = open(self.path, "wb")  # noqa: SIM115 -- long-lived WAL
+        self.records_since_compact = 0
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
 
 class SharedJobStore(JobQueue):
-    """A :class:`JobQueue` whose durable state is shared by a fleet.
+    """The durable :class:`JobQueue`, shared by every node of a fleet.
 
-    Drop-in for the queue everywhere (``WorkerPool``, ``ServeApp``, the
-    admin console): same submit/claim/renew/complete/fail/reap surface,
-    same dedup, backpressure, retry and dead-letter semantics -- but
-    every instance over the same ``state_dir`` observes every other
-    instance's mutations, and job ids / dedup fingerprints are unique
-    and authoritative fleet-wide.
+    Same submit/claim/renew/complete/fail/reap surface, same dedup,
+    backpressure, retry and dead-letter semantics -- but every instance
+    over the same ``state_dir`` observes every other instance's
+    mutations, and job ids / dedup fingerprints are unique and
+    authoritative fleet-wide.
     """
 
     def __init__(
@@ -92,31 +196,33 @@ class SharedJobStore(JobQueue):
         *,
         node: str | None = None,
         poll_seconds: float = DEFAULT_POLL_SECONDS,
+        compact_every: int = 512,
         **queue_kwargs,
     ) -> None:
         if fcntl is None:  # pragma: no cover - non-POSIX
-            raise RuntimeError(
-                "SharedJobStore needs POSIX flock; use JobQueue on this platform"
-            )
+            raise RuntimeError("the serve job store needs POSIX flock")
+        super().__init__(**queue_kwargs)
         os.makedirs(state_dir, exist_ok=True)
         self.state_dir = state_dir
+        self.state_path = os.path.join(state_dir, "queue.json")
         self.node = node or default_node_id()
         self.poll_seconds = poll_seconds
-        self._lock_path = os.path.join(state_dir, "queue.lock")
+        self.compact_every = max(1, compact_every)
+        self._journal = QueueJournal(self.state_path + ".wal")
         self._gen_path = os.path.join(state_dir, "queue.gen")
-        self._lock_file = open(self._lock_path, "a+b")  # noqa: SIM115 -- lifetime = store
+        self._lock_file = open(  # noqa: SIM115 -- lifetime = store
+            os.path.join(state_dir, "queue.lock"), "a+b"
+        )
+        self._rev = 0
         #: Byte cursor into the shared WAL: everything before it is
         #: already applied to this process's in-memory view.
         self._wal_offset = 0
         #: Compaction generation this process last synced against.
         self._generation = -1
-        #: The WAL currently ends in a torn (newline-less) record left
-        #: by a crashed writer; terminated before our next append.
-        self._tail_torn = False
-        queue_kwargs.pop("state_path", None)
-        super().__init__(
-            state_path=os.path.join(state_dir, "queue.json"), **queue_kwargs
-        )
+        #: Bytes of a torn (newline-less) record a crashed writer left at
+        #: the end of the WAL; terminated before our next append.
+        self._torn_bytes = 0
+        self._load()
 
     # -- fleet lock + sync ------------------------------------------------------------
 
@@ -132,6 +238,37 @@ class SharedJobStore(JobQueue):
             finally:
                 fcntl.flock(self._lock_file, fcntl.LOCK_UN)
 
+    def _load(self) -> None:
+        """Initial load: snapshot + full WAL, then revoke the leases this
+        node's previous run held.  Writes nothing unless it revokes.
+
+        ``on_terminal`` deliberately does not fire for history -- the
+        SLO window should reflect the live fleet, not the archive.
+        """
+        on_terminal, self.on_terminal = self.on_terminal, None
+        try:
+            with self._fleet():
+                self._revoke_own_leases_locked()
+                self._publish_gauges()
+        finally:
+            self.on_terminal = on_terminal
+        METRICS.inc("serve.queue.restored_jobs", float(len(self._jobs)))
+
+    def _revoke_own_leases_locked(self) -> None:
+        prefix = f"{self.node}/"
+        revoked = []
+        for job in sorted(self._jobs.values(), key=lambda j: j.seq):
+            if job.state == "running" and (job.worker or "").startswith(prefix):
+                job.revoke_lease()
+                heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
+                self._append(job)
+                revoked.append(job.id)
+        if revoked:
+            log_event(
+                _LOG, logging.WARNING, "serve.store.leases_revoked_on_restart",
+                node=self.node, jobs=revoked,
+            )
+
     def _read_generation(self) -> int:
         try:
             with open(self._gen_path, encoding="utf-8") as handle:
@@ -142,9 +279,8 @@ class SharedJobStore(JobQueue):
     def _sync_locked(self) -> None:
         """Apply every record other nodes journaled since our last look."""
         generation = self._read_generation()
-        wal_path = self.state_path + ".wal"
         try:
-            wal_size = os.path.getsize(wal_path)
+            wal_size = os.path.getsize(self._journal.path)
         except OSError:
             wal_size = 0
         if generation != self._generation or wal_size < self._wal_offset:
@@ -152,38 +288,29 @@ class SharedJobStore(JobQueue):
             # our cursor is meaningless.  Reload snapshot + full WAL.
             self._load_snapshot_locked()
             self._generation = generation
-            self._wal_offset = 0
+            self._wal_offset = self._torn_bytes = 0
         if wal_size <= self._wal_offset:
             return
-        with open(wal_path, "rb") as handle:
-            handle.seek(self._wal_offset)
-            raw = handle.read()
-        consumed = 0
-        applied = 0
-        while True:
-            newline = raw.find(b"\n", consumed)
-            if newline < 0:
-                break
-            line = raw[consumed:newline]
-            consumed = newline + 1
-            if not line:
-                continue
-            record = _decode_record(line)
-            if record is None:
-                METRICS.inc("serve.store.skipped_records")
-                continue
-            self._apply_record_locked(record)
-            applied += 1
+        records, consumed, skipped, self._torn_bytes = self._journal.read(
+            self._wal_offset
+        )
         self._wal_offset += consumed
-        self._tail_torn = consumed < len(raw)
-        if applied:
-            METRICS.inc("serve.store.synced_records", float(applied))
+        for record in records:
+            self._apply_record_locked(record)
+        if skipped:
+            METRICS.inc("serve.store.skipped_records", float(skipped))
+            log_event(
+                _LOG, logging.WARNING, "serve.store.records_skipped",
+                path=self._journal.path, skipped=skipped, applied=len(records),
+            )
+        if records:
+            METRICS.inc("serve.store.synced_records", float(len(records)))
             self._publish_gauges()
             self._cond.notify_all()
 
     def _apply_record_locked(self, record: dict) -> None:
         """Fold one remote mutation into the local view (last wins)."""
-        job = Job.from_dict(record["job"], revoke_lease=False)
+        job = Job.from_dict(record["job"])
         old = self._jobs.get(job.id)
         self._jobs[job.id] = job
         self._seq = max(self._seq, int(record.get("seq", 0)), job.seq)
@@ -204,36 +331,22 @@ class SharedJobStore(JobQueue):
             if self.on_terminal is not None:
                 self.on_terminal(job)
 
-    # -- persistence overrides --------------------------------------------------------
-
-    def _restore(self, path: str) -> None:
-        """Initial load: snapshot + full WAL, leases left intact.
-
-        Unlike the single-process restore this neither revokes running
-        jobs' leases (they may be running on live nodes) nor compacts
-        (truncating the WAL would churn every other node's cursor for
-        no benefit; compaction happens on ``compact_every`` as usual).
-        """
-        with self._cond:
-            fcntl.flock(self._lock_file, fcntl.LOCK_EX)
-            try:
-                self._load_snapshot_locked()
-                self._generation = self._read_generation()
-                self._wal_offset = 0
-                self._sync_after_load_locked()
-            finally:
-                fcntl.flock(self._lock_file, fcntl.LOCK_UN)
-
     def _load_snapshot_locked(self) -> None:
+        """Replace the in-memory view with the snapshot; a missing or
+        empty snapshot is a clean start, logged once here."""
         self._jobs.clear()
         self._heap.clear()
         self._active_by_fingerprint.clear()
         path = self.state_path
-        if not os.path.exists(path):
-            return
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        text = ""
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
         if not text.strip():
+            log_event(
+                _LOG, logging.INFO, "serve.store.starting_clean", path=path,
+                reason="state file empty" if text else "state file missing",
+            )
             return
         try:
             payload = json.loads(text)
@@ -248,64 +361,60 @@ class SharedJobStore(JobQueue):
             )
         self._seq = max(self._seq, int(payload.get("seq", 0)))
         for record in payload.get("jobs", []):
-            job = Job.from_dict(record, revoke_lease=False)
+            job = Job.from_dict(record)
             self._jobs[job.id] = job
-        self._rebuild_schedule_locked()
-
-    def _rebuild_schedule_locked(self) -> None:
         for job in sorted(self._jobs.values(), key=lambda j: j.seq):
             if job.state in ("pending", "retrying"):
                 heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
             if job.state in ACTIVE_STATES:
                 self._active_by_fingerprint[job.request.fingerprint()] = job.id
 
-    def _sync_after_load_locked(self) -> None:
-        """WAL replay for the initial load (cursor at 0, no callbacks).
-
-        ``on_terminal`` deliberately does not fire for history -- the
-        SLO window should reflect the live fleet, not the archive.
-        """
-        on_terminal, self.on_terminal = self.on_terminal, None
-        try:
-            self._sync_locked()
-        finally:
-            self.on_terminal = on_terminal
-        METRICS.inc("serve.queue.restored_jobs", float(len(self._jobs)))
-        self._publish_gauges()
-
-    def _record_extra(self) -> dict:
-        return {"node": self.node}
-
-    def _after_append(self, written_bytes: int) -> None:
-        # Our own record is already in memory; never re-apply it.
-        self._wal_offset += written_bytes
+    # -- persistence ------------------------------------------------------------------
 
     def _append(self, job: Job) -> None:
-        if self._journal is not None and self._tail_torn:
-            self._wal_offset += self._journal.append_newline()
-            self._tail_torn = False
+        # Called with both locks held.  One flushed line per accepting
+        # mutation; our own record is already in memory, so the cursor
+        # moves past it and it is never re-applied.
+        if self._torn_bytes:
+            self._wal_offset += self._torn_bytes + self._journal.terminate_torn_tail()
+            self._torn_bytes = 0
             METRICS.inc("serve.store.torn_tails_terminated")
-        super()._append(job)
+        self._rev += 1
+        self._wal_offset += self._journal.append(
+            {"rev": self._rev, "seq": self._seq, "node": self.node, "job": job.to_dict()}
+        )
+        METRICS.inc("serve.journal.records")
+        if self._journal.records_since_compact >= self.compact_every:
+            self._compact_locked()
+
+    def _state_locked(self) -> dict:
+        return {
+            "version": STATE_VERSION,
+            "seq": self._seq,
+            "max_depth": self.max_depth,
+            "jobs": [self._jobs[job_id].to_dict() for job_id in sorted(self._jobs)],
+        }
 
     def _compact_locked(self) -> None:
-        super()._compact_locked()
+        atomic_write_text(
+            self.state_path, json.dumps(self._state_locked(), sort_keys=True)
+        )
+        self._journal.reset()
         self._generation += 1
         atomic_write_text(self._gen_path, str(self._generation))
         self._wal_offset = 0
-        self._tail_torn = False
+        self._torn_bytes = 0
+        METRICS.inc("serve.journal.compactions")
 
-    def save(self, path: str | None = None) -> str:
-        target = path or self.state_path
-        if target is None:
-            raise ValueError("no state path configured")
+    def save(self) -> None:
+        """Fold the WAL into a fresh snapshot."""
         with self._fleet():
-            if target == self.state_path:
-                self._compact_locked()
-            else:
-                atomic_write_text(
-                    target, json.dumps(self._state_locked(), sort_keys=True)
-                )
-        return target
+            self._compact_locked()
+
+    def to_state(self) -> dict:
+        """JSON-ready queue state (deterministic for identical histories)."""
+        with self._fleet():
+            return self._state_locked()
 
     # -- mutation surface (fleet-locked) ----------------------------------------------
 
@@ -314,31 +423,34 @@ class SharedJobStore(JobQueue):
             return super().submit(request, priority=priority)
 
     def claim(self, timeout: float | None = None, worker: str | None = None):
-        """Poll-based cross-process claim (no fleet-wide wakeups exist).
+        """Claim the highest-priority due job anywhere in the fleet.
 
         ``worker`` should be the node-qualified identity
-        (``<node>/worker-N``) so reaping and flight events attribute
-        correctly across the fleet.
+        (``<node>/worker-N``) so reaping, restart revocation and flight
+        events attribute correctly across the fleet.  Between attempts
+        the claimer waits on the local condition variable, entered
+        under the same hold as the failed attempt, so a local submit,
+        completion or close wakes it at once and other nodes' submits
+        are seen within ``poll_seconds``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._fleet():
-                closed = self._closed
-                if not closed:
-                    job, _ = self._try_claim_locked(worker)
-                    if job is not None:
-                        return job
-            if closed:
-                return None
-            remaining = self.poll_seconds
-            if deadline is not None:
-                until = deadline - time.monotonic()
-                if until <= 0:
-                    return None
-                remaining = min(remaining, until)
-            with self._cond:
-                if not self._closed:
-                    self._cond.wait(remaining)
+        with self._cond:
+            while True:
+                with self._fleet():
+                    if self._closed:
+                        return None
+                    job, next_due = self._try_claim_locked(worker)
+                if job is not None:
+                    return job
+                wait = self.poll_seconds
+                if next_due is not None:
+                    wait = min(wait, max(0.0, next_due - time.time()) + 1e-3)
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return None
+                    wait = min(wait, remaining)
+                self._cond.wait(wait)
 
     def renew(self, job_id: str, lease_token: str, extend: float | None = None) -> bool:
         with self._fleet():
@@ -399,10 +511,6 @@ class SharedJobStore(JobQueue):
         with self._fleet():
             return self._retry_after_locked()
 
-    def to_state(self) -> dict:
-        with self._fleet():
-            return self._state_locked()
-
     def running_by_node(self) -> dict[str, int]:
         """Running-job counts grouped by the claiming node (the worker
         identity's ``<node>/`` prefix) -- the per-node breakdown behind
@@ -417,31 +525,27 @@ class SharedJobStore(JobQueue):
             return counts
 
     def wait_idle(self, timeout: float | None = None) -> bool:
-        """Poll until no job is pending/running/retrying fleet-wide."""
+        """Wait until no job is pending/running/retrying fleet-wide;
+        local transitions wake the wait, remote ones are polled."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._fleet():
-                if not any(
-                    j.state in ACTIVE_STATES for j in self._jobs.values()
-                ):
-                    return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(self.poll_seconds)
-
-    def close(self) -> None:
-        """Process-local: stop *this* node's claims and submissions.
-
-        The rest of the fleet keeps accepting and executing work -- a
-        node draining for a rolling restart must not take the fleet's
-        admission down with it.
-        """
-        super().close()
+        with self._cond:
+            while True:
+                with self._fleet():
+                    if not any(
+                        j.state in ACTIVE_STATES for j in self._jobs.values()
+                    ):
+                        return True
+                wait = self.poll_seconds
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return False
+                    wait = min(wait, remaining)
+                self._cond.wait(wait)
 
     def dispose(self) -> None:
         """Release file handles (does not touch shared state)."""
-        if self._journal is not None:
-            self._journal.close()
+        self._journal.close()
         with contextlib.suppress(OSError):
             self._lock_file.close()
 

@@ -34,9 +34,9 @@ exception the loop does *not* absorb into the job: the thread dies with
 the job still leased, so recovery must flow through the reap -> requeue
 -> respawn machinery this pool exists to prove out.
 
-Workers block on the queue's condition variable (``claim`` with no
-timeout) rather than polling, so an idle pool costs nothing until a
-submit, retry expiry, or shutdown wakes it.
+Workers block in the store's ``claim`` (no timeout): a local submit,
+retry expiry or shutdown wakes them at once, and other nodes' submits
+are seen within the store's short poll interval.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def _dataset_for(job: Job) -> Dataset:
 class WorkerPool:
     """Supervised thread pool that drains the job queue.
 
-    ``poll_seconds`` survives as the pause-check interval only; idle
-    workers no longer poll -- they block in ``queue.claim``.
+    ``poll_seconds`` is the pause-check interval only; idle workers
+    block in ``queue.claim``.
     """
 
     def __init__(
@@ -98,11 +98,10 @@ class WorkerPool:
         self.app = app
         self.workers = workers
         self.poll_seconds = poll_seconds
-        #: Fleet mode prefixes worker identities with the node id
-        #: (``<node>/serve-worker-N``) so leases, reaping, and flight
-        #: events attribute to the right node across the fleet.
-        node = getattr(app, "node", None)
-        self.worker_prefix = f"{node}/" if node else ""
+        #: Worker identities carry the node id (``<node>/serve-worker-N``)
+        #: so leases, reaping, restart revocation and flight events
+        #: attribute to the right node across the fleet.
+        self.worker_prefix = f"{app.node}/"
         self.chaos = chaos if chaos is not None and not chaos.is_empty else None
         self._threads: list[threading.Thread] = []
         self._supervisor: threading.Thread | None = None
@@ -191,9 +190,7 @@ class WorkerPool:
             for job_id, token in entries:
                 self.app.queue.renew(job_id, token)
             self.app.queue.reap()
-            heartbeat = getattr(self.app, "publish_node_heartbeat", None)
-            if heartbeat is not None:
-                heartbeat()
+            self.app.publish_node_heartbeat()
             for slot, thread in enumerate(self._threads):
                 if self._stop.is_set():
                     break

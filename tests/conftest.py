@@ -6,6 +6,8 @@ tracking runs) so the suite stays fast while many tests share them.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -13,6 +15,27 @@ from scipy import ndimage
 from repro import NeighborhoodConfig, SMAnalyzer
 from repro.core.matching import prepare_frames
 from repro.data import florida_thunderstorm, hurricane_frederic, hurricane_luis
+
+
+#: Wall-time budget for one tier-1 test's call phase.  The slowest
+#: test takes ~8 s on a 2-CPU host; a test that waits out a lease or a
+#: drain timeout instead of taking a fast path fails here rather than
+#: passing slowly.
+CALL_BUDGET_SECONDS = 20.0
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    started = time.perf_counter()
+    result = yield
+    elapsed = time.perf_counter() - started
+    if elapsed > CALL_BUDGET_SECONDS:
+        pytest.fail(
+            f"{item.nodeid} took {elapsed:.1f} s, over the "
+            f"{CALL_BUDGET_SECONDS:g} s tier-1 budget",
+            pytrace=False,
+        )
+    return result
 
 
 def translated_pair(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro import SMAnalyzer
-from repro.core.matching import track_dense
 from repro.maspar.machine import scaled_machine
 from repro.maspar.memory import PEMemoryError, PEMemoryTracker
 from repro.params import NeighborhoodConfig

@@ -18,9 +18,6 @@ from repro.obs.events import (
 
 
 class TestJournalPaths:
-    def test_single_process_convention(self, tmp_path):
-        assert flight_journal_path(str(tmp_path)) == str(tmp_path / "flight.jsonl")
-
     def test_per_node_convention(self, tmp_path):
         assert flight_journal_path(str(tmp_path), "node-1") == str(
             tmp_path / "flight-node-1.jsonl"
@@ -112,8 +109,9 @@ class TestMerge:
         assert merge_flight_journals(paths) == merge_flight_journals(paths[::-1])
 
     def test_pre_fleet_records_merge_untagged(self, tmp_path):
-        # A single-process journal (no node/seq) merges with node="".
-        recorder = FlightRecorder(flight_journal_path(str(tmp_path)))
+        # A journal left by a pre-fleet server (``flight.jsonl``, no
+        # node/seq) merges with node="".
+        recorder = FlightRecorder(str(tmp_path / "flight.jsonl"))
         recorder.record("submitted", "job-1", ts=2.0)
         recorder.close()
         self._write_events(tmp_path, "a", [("claimed", "job-1", 2.0)])

@@ -2,8 +2,8 @@
 
 Two kinds of fleet here:
 
-* **In-process** -- two :class:`ServeApp` instances in fleet mode over
-  one state directory (the cheapest faithful model of two nodes: every
+* **In-process** -- two :class:`ServeApp` instances with distinct nodes
+  over one state directory (the cheapest faithful model of two nodes: every
   coordination path -- flock, WAL replication, shared cache -- is the
   real cross-process machinery, only the process boundary is elided).
   Used for the dedup contract: the same job submitted to two nodes
@@ -16,7 +16,6 @@ Two kinds of fleet here:
   survivor, every job finishes ``done``.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -38,7 +37,7 @@ SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 def _fleet_app(state_dir, node, **kwargs):
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("queue_depth", 16)
-    return ServeApp(str(state_dir), fleet=True, node=node, **kwargs)
+    return ServeApp(str(state_dir), node=node, **kwargs)
 
 
 def _wait_done(app, job_id, deadline=DEADLINE):

@@ -26,7 +26,8 @@ import pytest
 from repro.core.matching import prepare_frames, track_dense
 from repro.data.datasets import florida_thunderstorm
 from repro.obs.metrics import METRICS
-from repro.serve.http import ServeApp, make_server
+from repro.serve.frontend import make_async_server
+from repro.serve.http import ServeApp
 
 SIZE = 48
 DEADLINE = 120.0
@@ -35,7 +36,7 @@ DEADLINE = 120.0
 @pytest.fixture
 def server(tmp_path):
     app = ServeApp(str(tmp_path / "state"), workers=1, queue_depth=4).start()
-    httpd = make_server(app, "127.0.0.1", 0)
+    httpd = make_async_server(app, "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{httpd.server_address[1]}"

@@ -66,9 +66,16 @@ class TestJobRoundTrip:
         assert Job.from_dict(job.to_dict()).to_dict() == job.to_dict()
 
     def test_running_restores_as_pending(self):
+        """A restarted node's revocation: pending again, attempt kept."""
         job = Job(id="job-000002", request=JobRequest(dataset="luis"), seq=2)
         job.state = "running"
         job.started_at = 123.0
+        job.attempts = 1
+        job.worker, job.lease_token = "n/serve-worker-0", "tok"
         restored = Job.from_dict(job.to_dict())
+        assert restored.state == "running"  # loading alone revokes nothing
+        restored.revoke_lease()
         assert restored.state == "pending"
         assert restored.started_at is None
+        assert restored.worker is None and restored.lease_token is None
+        assert restored.attempts == 1

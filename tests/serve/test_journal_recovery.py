@@ -4,7 +4,9 @@ The acceptance property: an acknowledged job (submit returned) is never
 lost, no matter where the process died.  The cruelest version is tested
 exhaustively -- the write-ahead journal truncated at **every byte
 offset** of its final record -- and replay must neither raise nor drop
-a previously-acknowledged job.
+a previously-acknowledged job.  Every case runs on the one durable
+store, :class:`~repro.serve.store.SharedJobStore`, and its one replay
+rule: a corrupt complete line is skipped, later records still apply.
 """
 
 import json
@@ -13,11 +15,16 @@ import os
 
 from repro.obs.log import get_logger
 from repro.serve.jobs import JobRequest
-from repro.serve.queue import STATE_VERSION, JobQueue, QueueJournal
+from repro.serve.store import STATE_VERSION, QueueJournal, SharedJobStore
 
 
 def _request(seed: int = 0, **kwargs) -> JobRequest:
     return JobRequest(dataset="florida", size=48, seed=seed, **kwargs)
+
+
+def _store(state_dir, **kwargs) -> SharedJobStore:
+    kwargs.setdefault("max_depth", 8)
+    return SharedJobStore(str(state_dir), node="n", **kwargs)
 
 
 class _Capture(logging.Handler):
@@ -36,8 +43,7 @@ class TestTornWrites:
         self, tmp_path
     ):
         """Kill the server mid-write, at every possible byte."""
-        path = str(tmp_path / "queue.json")
-        q = JobQueue(max_depth=8, state_path=path)
+        q = _store(tmp_path)
         acknowledged = []
         for seed in range(3):
             job, _ = q.submit(_request(seed=seed), priority=seed)
@@ -49,11 +55,11 @@ class TestTornWrites:
         for cut in range(last_start, len(wal) + 1):
             crash_dir = tmp_path / f"crash-{cut}"
             crash_dir.mkdir()
-            crash_path = str(crash_dir / "queue.json")
             (crash_dir / "queue.json.wal").write_bytes(wal[:cut])
 
-            restored = JobQueue(max_depth=8, state_path=crash_path)  # never raises
+            restored = _store(crash_dir)  # never raises
             jobs = {j.id for j in restored.list_jobs()}
+            restored.dispose()
             if cut == len(wal):
                 # Nothing torn: all three acknowledged jobs present.
                 assert jobs == set(acknowledged)
@@ -67,8 +73,7 @@ class TestTornWrites:
     def test_acknowledged_means_durable(self, tmp_path):
         """Every record the journal flushed before a cut is replayed:
         truncating only the final record loses only the final event."""
-        path = str(tmp_path / "queue.json")
-        q = JobQueue(max_depth=8, state_path=path)
+        q = _store(tmp_path)
         first, _ = q.submit(_request(seed=1))
         second, _ = q.submit(_request(seed=2))
 
@@ -79,13 +84,14 @@ class TestTornWrites:
         # acknowledged strictly earlier, so it MUST survive.
         cut = len(lines[0]) + 1 + len(lines[1]) // 2
         (tmp_path / "queue.json.wal").write_bytes(wal[:cut])
-        restored = JobQueue(max_depth=8, state_path=path)
+        restored = _store(tmp_path)
         assert restored.get(first.id) is not None
         assert restored.get(first.id).state == "pending"
 
-    def test_corrupt_middle_record_discards_the_tail(self, tmp_path):
-        """A checksum-failing record poisons everything after it (order
-        is gone), but never what came before."""
+    def test_corrupt_middle_record_is_skipped(self, tmp_path):
+        """A checksum-failing complete line is skipped and counted; the
+        records on both sides of it still replay (a later record of the
+        same job supersedes it -- the last record wins)."""
         journal = QueueJournal(str(tmp_path / "j.wal"))
         journal.append({"rev": 1, "seq": 1, "job": {"id": "a"}})
         journal.append({"rev": 2, "seq": 2, "job": {"id": "b"}})
@@ -95,9 +101,10 @@ class TestTornWrites:
         lines = raw.rstrip(b"\n").split(b"\n")
         garbled = lines[1].replace(b'"rev":2', b'"rev":9')  # breaks the crc
         (tmp_path / "j.wal").write_bytes(b"\n".join([lines[0], garbled, lines[2]]) + b"\n")
-        records, discarded = QueueJournal(str(tmp_path / "j.wal")).replay()
-        assert [r["rev"] for r in records] == [1]
-        assert discarded == 2
+        records, consumed, skipped, torn = QueueJournal(str(tmp_path / "j.wal")).read()
+        assert [r["rev"] for r in records] == [1, 3]
+        assert skipped == 1
+        assert consumed == len((tmp_path / "j.wal").read_bytes()) and torn == 0
 
     def test_journal_roundtrip_is_lossless(self, tmp_path):
         journal = QueueJournal(str(tmp_path / "j.wal"))
@@ -105,13 +112,13 @@ class TestTornWrites:
         for p in payloads:
             journal.append(p)
         journal.close()
-        records, discarded = QueueJournal(str(tmp_path / "j.wal")).replay()
-        assert records == payloads and discarded == 0
+        records, _, skipped, _ = QueueJournal(str(tmp_path / "j.wal")).read()
+        assert records == payloads and skipped == 0
 
 
 class TestStartClean:
     def _with_capture(self, fn):
-        logger = get_logger("serve.queue")
+        logger = get_logger("serve.store")
         handler = _Capture()
         logger.addHandler(handler)
         previous_level = logger.level
@@ -123,11 +130,9 @@ class TestStartClean:
             logger.removeHandler(handler)
 
     def test_missing_state_path_starts_clean_with_log_line(self, tmp_path):
-        path = str(tmp_path / "nonexistent" / "queue.json")
-        os.makedirs(os.path.dirname(path))
-        q, messages = self._with_capture(
-            lambda: JobQueue(max_depth=8, state_path=path)
-        )
+        state_dir = tmp_path / "nonexistent"
+        os.makedirs(state_dir)
+        q, messages = self._with_capture(lambda: _store(state_dir))
         assert q.counts() == {s: 0 for s in q.counts()}
         assert any("starting_clean" in m and "missing" in m for m in messages)
 
@@ -136,9 +141,7 @@ class TestStartClean:
         like a missing one -- clean start, structured log, no raise."""
         path = tmp_path / "queue.json"
         path.write_text("")
-        q, messages = self._with_capture(
-            lambda: JobQueue(max_depth=8, state_path=str(path))
-        )
+        q, messages = self._with_capture(lambda: _store(tmp_path))
         assert q.depth() == 0
         assert any("starting_clean" in m and "empty" in m for m in messages)
         # And the queue is immediately usable.
@@ -148,9 +151,7 @@ class TestStartClean:
     def test_whitespace_only_state_file_counts_as_empty(self, tmp_path):
         path = tmp_path / "queue.json"
         path.write_text("\n  \n")
-        q, messages = self._with_capture(
-            lambda: JobQueue(max_depth=8, state_path=str(path))
-        )
+        q, messages = self._with_capture(lambda: _store(tmp_path))
         assert q.depth() == 0
         assert any("starting_clean" in m for m in messages)
 
@@ -177,14 +178,14 @@ class TestSnapshotsAndCompaction:
         }
         path = tmp_path / "queue.json"
         path.write_text(json.dumps(legacy))
-        q = JobQueue(max_depth=8, state_path=str(path))
+        q = _store(tmp_path)
         assert q.get("job-000001").state == "dead"
         assert [j.id for j in q.list_jobs(state="dead")] == ["job-000001"]
         assert q.claim(timeout=0).id == "job-000002"
 
     def test_compaction_folds_the_wal_into_the_snapshot(self, tmp_path):
         path = tmp_path / "queue.json"
-        q = JobQueue(max_depth=64, state_path=str(path), compact_every=5)
+        q = _store(tmp_path, max_depth=64, compact_every=5)
         for seed in range(7):  # crosses the compaction threshold
             q.submit(_request(seed=seed))
         snapshot = json.loads(path.read_text())
@@ -195,23 +196,21 @@ class TestSnapshotsAndCompaction:
             line for line in (tmp_path / "queue.json.wal").read_bytes().split(b"\n") if line
         ]
         assert len(wal_lines) < 7
-        restored = JobQueue(max_depth=64, state_path=str(path))
+        restored = _store(tmp_path, max_depth=64)
         assert len(restored.list_jobs(state="pending")) == 7
 
     def test_wal_replay_last_record_wins(self, tmp_path):
         """A job's newest journal record defines its restored state."""
-        path = str(tmp_path / "queue.json")
-        q = JobQueue(max_depth=8, state_path=path)
+        q = _store(tmp_path)
         job, _ = q.submit(_request())
         q.claim(timeout=0)
         q.complete(job.id, result_key="abc")
-        restored = JobQueue(max_depth=8, state_path=path)
+        restored = _store(tmp_path)
         assert restored.get(job.id).state == "done"
         assert restored.get(job.id).result_key == "abc"
 
     def test_restart_restores_retrying_and_dead_states(self, tmp_path):
-        path = str(tmp_path / "queue.json")
-        q = JobQueue(max_depth=8, state_path=path)
+        q = _store(tmp_path)
         retrying, _ = q.submit(_request(seed=1))
         q.claim(timeout=0)
         q.fail(retrying.id, "transient")
@@ -219,7 +218,7 @@ class TestSnapshotsAndCompaction:
         q.claim(timeout=5.0)  # claims the dead-to-be job (retrying is backing off)
         q.fail(dead.id, "fatal", retryable=False)
 
-        restored = JobQueue(max_depth=8, state_path=path)
+        restored = _store(tmp_path)
         assert restored.get(retrying.id).state == "retrying"
         assert restored.get(retrying.id).attempts == 1
         assert restored.get(dead.id).state == "dead"

@@ -11,7 +11,7 @@ import urllib.request
 import pytest
 
 from repro.bus import IngestDaemon, SyntheticSource, list_segments
-from repro.serve import ServeApp, make_server
+from repro.serve import ServeApp, make_async_server
 
 
 def _get(base: str, path: str):
@@ -55,7 +55,7 @@ def test_live_latest_and_healthz_ring_state(tmp_path):
         live_config=src.config,
     )
     app.start()
-    server = make_server(app)
+    server = make_async_server(app)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
     base = f"http://{host}:{port}"

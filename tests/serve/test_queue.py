@@ -1,19 +1,25 @@
 """Job queue: ordering, dedup, backpressure, and durable persistence.
 
-The persistence tests mirror the PR-1 checkpoint bit-identity
-contract: a killed server restarting from the journal must hold
-exactly the accepted work -- pending jobs, priorities and dedup keys
-survive the round trip bit for bit.
+The persistence tests run on the durable store and mirror the stream
+checkpoint bit-identity contract: a killed server restarting from the
+journal must hold exactly the accepted work -- pending jobs, priorities
+and dedup keys survive the round trip bit for bit.
 """
 
 import pytest
 
 from repro.serve.jobs import JobRequest
 from repro.serve.queue import JobQueue, QueueFullError
+from repro.serve.store import SharedJobStore
 
 
 def _request(seed: int = 0, **kwargs) -> JobRequest:
     return JobRequest(dataset="florida", size=48, seed=seed, **kwargs)
+
+
+def _store(state_dir) -> SharedJobStore:
+    """One restart of node ``n`` over ``state_dir``."""
+    return SharedJobStore(str(state_dir), node="n", max_depth=8)
 
 
 class TestOrdering:
@@ -125,15 +131,16 @@ class TestPersistence:
         journal captured at acceptance time, i.e. exactly what a
         SIGKILLed server would have on disk.
         """
-        path = str(tmp_path / "queue.json")
-        q = JobQueue(max_depth=8, state_path=path)
+        q = _store(tmp_path)
         q.submit(_request(seed=1), priority=3)
         q.submit(_request(seed=2), priority=0)
         running, _ = q.submit(_request(seed=3), priority=9)
-        assert q.claim(timeout=0).id == running.id  # highest priority first
+        # highest priority first
+        assert q.claim(timeout=0, worker="n/serve-worker-0").id == running.id
         original_state = q.to_state()
+        q.dispose()
 
-        restored = JobQueue(max_depth=8, state_path=path)
+        restored = _store(tmp_path)
         after_state = restored.to_state()
         assert after_state["seq"] == original_state["seq"]
         for before_job, after_job in zip(
@@ -150,45 +157,45 @@ class TestPersistence:
         assert revived.attempts == 1
 
     def test_restart_resumes_pending_in_priority_order(self, tmp_path):
-        path = str(tmp_path / "queue.json")
-        q = JobQueue(max_depth=8, state_path=path)
+        q = _store(tmp_path)
         q.submit(_request(seed=1), priority=0)
         q.submit(_request(seed=2), priority=7)
         q.submit(_request(seed=3), priority=3)
+        q.dispose()
 
-        restarted = JobQueue(max_depth=8, state_path=path)
+        restarted = _store(tmp_path)
         order = [restarted.claim(timeout=0).request.seed for _ in range(3)]
         assert order == [2, 3, 1]
         assert restarted.claim(timeout=0) is None
 
     def test_restart_preserves_dedup_keys(self, tmp_path):
-        path = str(tmp_path / "queue.json")
-        q = JobQueue(max_depth=8, state_path=path)
+        q = _store(tmp_path)
         original, _ = q.submit(_request(seed=5))
+        q.dispose()
 
-        restarted = JobQueue(max_depth=8, state_path=path)
+        restarted = _store(tmp_path)
         dup, created = restarted.submit(_request(seed=5))
         assert not created and dup.id == original.id
 
     def test_restart_preserves_seq_counter(self, tmp_path):
         """New jobs after restart never reuse an existing job id."""
-        path = str(tmp_path / "queue.json")
-        q = JobQueue(max_depth=8, state_path=path)
+        q = _store(tmp_path)
         a, _ = q.submit(_request(seed=1))
-        restarted = JobQueue(max_depth=8, state_path=path)
+        q.dispose()
+        restarted = _store(tmp_path)
         b, _ = restarted.submit(_request(seed=2))
         assert b.id != a.id
 
     def test_persisted_file_is_deterministic(self, tmp_path):
-        """Identical submit histories produce identical journal bytes
+        """Identical submit histories produce identical snapshot bytes
         (modulo wall-clock timestamps, which we pin)."""
         blobs = []
         for name in ("a", "b"):
-            path = tmp_path / f"{name}.json"
-            q = JobQueue(max_depth=8, state_path=str(path))
+            q = _store(tmp_path / name)
             for seed in (1, 2):
                 job, _ = q.submit(_request(seed=seed), priority=seed)
                 job.submitted_at = 0.0
             q.save()
-            blobs.append(path.read_bytes())
+            q.dispose()
+            blobs.append((tmp_path / name / "queue.json").read_bytes())
         assert blobs[0] == blobs[1]

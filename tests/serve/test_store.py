@@ -15,6 +15,9 @@ nodes on a shared filesystem -- and checks the fleet contract:
 
 import json
 import os
+import socket
+import threading
+import time
 
 import pytest
 
@@ -255,24 +258,13 @@ class TestNodeRegistry:
         assert set(registry.nodes()) == {"good"}
 
     def test_default_node_id_is_host_qualified(self):
+        """The hostname: stable across restarts, so a restarted node
+        can recognise (and revoke) the leases of its previous run."""
         node = default_node_id()
-        assert str(os.getpid()) in node
+        assert node == socket.gethostname() == default_node_id()
 
 
 class TestSingleProcessCompatibility:
-    def test_fleet_state_dir_downgrades_to_plain_queue(self, state_dir):
-        """queue.json written by the fleet store restores in JobQueue."""
-        from repro.serve.queue import JobQueue
-
-        a = _store(state_dir, "a")
-        job, _ = a.submit(_request(seed=1))
-        a.save()
-        a.dispose()
-        plain = JobQueue(
-            max_depth=16, state_path=os.path.join(state_dir, "queue.json")
-        )
-        assert plain.get(job.id).state == "pending"
-
     def test_snapshot_is_plain_versioned_json(self, state_dir):
         a = _store(state_dir, "a")
         a.submit(_request(seed=1))
@@ -280,3 +272,62 @@ class TestSingleProcessCompatibility:
         payload = json.load(open(os.path.join(state_dir, "queue.json")))
         assert payload["version"] in (1, 2)
         assert len(payload["jobs"]) == 1
+
+
+class TestRestart:
+    """A restarted node revokes its previous run's leases at once; other
+    nodes' leases wait for expiry.  In-process, no sleeps."""
+
+    def _crashed_claim(self, state_dir):
+        a = _store(state_dir, "n")
+        job, _ = a.submit(_request(seed=1))
+        claimed = a.claim(timeout=0, worker="n/serve-worker-0")
+        assert claimed.id == job.id
+        a.dispose()  # the process dies holding the lease
+        return claimed
+
+    def test_same_node_revokes_its_own_lease_on_load(self, state_dir):
+        claimed = self._crashed_claim(state_dir)
+        restarted = _store(state_dir, "n")
+        job = restarted.get(claimed.id)
+        assert job.state == "pending"
+        assert job.attempts == 1
+        assert job.lease_token is None and job.worker is None
+        # The revocation is journaled: every other node sees it too.
+        assert _store(state_dir, "m").get(claimed.id).state == "pending"
+        # And the job is claimable at once, not after lease_seconds.
+        retaken = restarted.claim(timeout=0, worker="n/serve-worker-0")
+        assert retaken.id == claimed.id and retaken.attempts == 2
+
+    def test_other_node_leaves_the_lease_to_expiry(self, state_dir):
+        claimed = self._crashed_claim(state_dir)
+        other = _store(state_dir, "m")
+        job = other.get(claimed.id)
+        assert job.state == "running"
+        assert job.lease_token == claimed.lease_token
+
+    def test_local_submit_wakes_a_blocked_claim_at_once(self, state_dir):
+        store = _store(state_dir, "n", poll_seconds=30.0)
+        attempted = threading.Event()
+        try_claim = store._try_claim_locked
+
+        def spy(worker):
+            attempted.set()
+            return try_claim(worker)
+
+        store._try_claim_locked = spy
+        claimed = []
+        claimer = threading.Thread(
+            target=lambda: claimed.append(
+                (store.claim(timeout=20.0, worker="n/w"), time.monotonic())
+            )
+        )
+        claimer.start()
+        assert attempted.wait(timeout=5.0)
+        submitted_at = time.monotonic()
+        job, _ = store.submit(_request(seed=1))
+        claimer.join(timeout=5.0)
+        assert not claimer.is_alive()
+        got, returned_at = claimed[0]
+        assert got is not None and got.id == job.id
+        assert returned_at - submitted_at < 1.0

@@ -16,11 +16,12 @@ import urllib.request
 
 import pytest
 
-from repro.obs.events import FlightRecorder
+from repro.obs.events import FlightRecorder, flight_journal_path
 from repro.obs.metrics import METRICS
 from repro.obs.prom import PROM_CONTENT_TYPE, parse_exposition
 from repro.reliability.injection import ServeChaosPlan
-from repro.serve.http import ServeApp, make_server
+from repro.serve.frontend import make_async_server
+from repro.serve.http import ServeApp
 
 SIZE = 32
 DEADLINE = 120.0
@@ -36,7 +37,7 @@ def _fresh_metrics():
 @pytest.fixture
 def server(tmp_path):
     app = ServeApp(str(tmp_path / "state"), workers=1, queue_depth=8).start()
-    httpd = make_server(app, "127.0.0.1", 0)
+    httpd = make_async_server(app, "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{httpd.server_address[1]}"
@@ -208,7 +209,9 @@ class TestChaosTrace:
             job = _submit_and_wait(app, PAYLOAD)
         finally:
             app.drain(timeout=DEADLINE)
-        recorder = FlightRecorder(str(tmp_path / "state" / "flight.jsonl"))
+        recorder = FlightRecorder(
+            flight_journal_path(str(tmp_path / "state"), app.node)
+        )
         events = [e for e in recorder.replay() if e["job"] == job.id]
         recorder.close()
         assert [e["event"] for e in events][0] == "submitted"

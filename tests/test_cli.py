@@ -125,23 +125,33 @@ class TestServeCommand:
 class TestServeAdminCommand:
     """Offline (--state-dir) transport of the dead-letter console."""
 
-    def _state_dir_with_dead_job(self, tmp_path):
-        import os
-
-        from repro.serve import JobQueue
+    def _state_dir_with_dead_job(self, tmp_path, running=False):
+        """A state dir with one dead job, left as a live node leaves it:
+        journal only, no snapshot; ``running`` adds a job node ``n1``
+        still holds a lease on."""
+        from repro.serve import SharedJobStore
         from repro.serve.jobs import JobRequest
 
         state_dir = str(tmp_path / "serve-state")
-        os.makedirs(state_dir)
-        queue = JobQueue(
-            max_depth=8, state_path=os.path.join(state_dir, "queue.json")
-        )
-        job, _ = queue.submit(JobRequest(dataset="florida", size=48))
-        queue.claim(timeout=0)
-        queue.fail(job.id, "poison pill", retryable=False)
-        queue.save()
-        queue.close()
+        store = SharedJobStore(state_dir, node="n1", max_depth=8)
+        job, _ = store.submit(JobRequest(dataset="florida", size=48))
+        store.claim(timeout=0, worker="n1/serve-worker-0")
+        store.fail(job.id, "poison pill", retryable=False)
+        if running:
+            store.submit(JobRequest(dataset="florida", size=48, seed=1))
+            store.claim(timeout=0, worker="n1/serve-worker-0")
+        store.dispose()
         return state_dir, job.id
+
+    @staticmethod
+    def _queue_files(state_dir):
+        import os
+
+        return {
+            name: open(os.path.join(state_dir, name), "rb").read()
+            for name in sorted(os.listdir(state_dir))
+            if name.startswith("queue.json")
+        }
 
     def test_dead_listing(self, tmp_path, capsys):
         state_dir, job_id = self._state_dir_with_dead_job(tmp_path)
@@ -149,18 +159,59 @@ class TestServeAdminCommand:
         out = capsys.readouterr().out
         assert job_id in out and "poison pill" in out
 
+    def test_dead_listing_leaves_the_state_dir_untouched(self, tmp_path, capsys):
+        """Listing is a read: no compaction, no truncated journal, and
+        the lease a live node holds stays granted."""
+        from repro.serve import SharedJobStore
+
+        state_dir, job_id = self._state_dir_with_dead_job(tmp_path, running=True)
+        before = self._queue_files(state_dir)
+        assert main(["serve-admin", "dead", "--state-dir", state_dir]) == 0
+        assert job_id in capsys.readouterr().out
+        assert self._queue_files(state_dir) == before
+        other = SharedJobStore(state_dir, node="n2", max_depth=8)
+        assert other.counts()["running"] == 1
+        other.dispose()
+
+    def test_requeue_appends_under_the_fleet_lock(self, tmp_path, capsys, monkeypatch):
+        import fcntl
+        import types
+
+        from repro.serve import store as store_module
+
+        state_dir, job_id = self._state_dir_with_dead_job(tmp_path)
+        locked = [False]
+        appended_locked = []
+
+        def flock(handle, operation):
+            if operation == fcntl.LOCK_UN:
+                locked[0] = False
+            fcntl.flock(handle, operation)
+            if operation == fcntl.LOCK_EX:
+                locked[0] = True
+
+        append = store_module.QueueJournal.append
+
+        def spy_append(journal, record):
+            appended_locked.append(locked[0])
+            return append(journal, record)
+
+        monkeypatch.setattr(
+            store_module, "fcntl",
+            types.SimpleNamespace(flock=flock, LOCK_EX=fcntl.LOCK_EX, LOCK_UN=fcntl.LOCK_UN),
+        )
+        monkeypatch.setattr(store_module.QueueJournal, "append", spy_append)
+        assert main(["serve-admin", "requeue", job_id, "--state-dir", state_dir]) == 0
+        assert appended_locked == [True]
+
     def test_requeue_round_trip(self, tmp_path, capsys):
-        from repro.serve import JobQueue
+        from repro.serve import SharedJobStore
 
         state_dir, job_id = self._state_dir_with_dead_job(tmp_path)
         assert main(["serve-admin", "requeue", job_id, "--state-dir", state_dir]) == 0
         assert f"requeued {job_id}" in capsys.readouterr().out
         # The revival was flushed to disk: a fresh open sees it pending.
-        import os
-
-        reopened = JobQueue(
-            max_depth=8, state_path=os.path.join(state_dir, "queue.json")
-        )
+        reopened = SharedJobStore(state_dir, node="n2", max_depth=8)
         assert reopened.get(job_id).state == "pending"
         assert reopened.get(job_id).attempts == 0
 
