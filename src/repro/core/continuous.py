@@ -131,13 +131,22 @@ def solve_accumulated(
     ``fields`` are template-summed packed fields.  A tiny ridge term
     stabilizes near-degenerate patches without perturbing
     well-conditioned solutions; set ``ridge=0`` for the strict paper
-    formulation.  ``prefer_native`` feeds the eliminate dispatch
-    (bit-identical either way; ``backend="numpy"`` pins it False).
+    formulation.  With ``prefer_native`` and the native kernel
+    available, one fused C call reads any ``(..., 28)`` view in place
+    and does the whole solve below; otherwise (``backend="numpy"`` pins
+    ``prefer_native=False``) the NumPy reference runs.  Bit-identical
+    either way.
     """
+    if prefer_native:
+        from ..native import native_available, native_solve_packed
+
+        if native_available():
+            theta, error, singular = native_solve_packed(fields, ridge)
+            return MotionSolution(params=theta, error=error, singular=singular)
     h, grad, c = unpack_fields(fields)
     if ridge:
         h = h + ridge * np.eye(N_PARAMS)
-    theta, singular = gaussian_eliminate(h, -grad, prefer_native=prefer_native)
+    theta, singular = gaussian_eliminate(h, -grad, prefer_native=False)
     theta = np.where(singular[..., None], 0.0, theta)
     # E* = c + theta . grad at the optimum (and = c exactly when theta = 0).
     error = c + np.einsum("...k,...k->...", theta, grad)
@@ -155,7 +164,8 @@ def estimate_from_samples(
     pixel/hypothesis pair.  Used to validate the dense field/box-sum
     path against a direct construction.
     """
-    fields = pointwise_fields(p, q, p_after, q_after, e, g)
+    # Sum sample by sample (row order), as over a C-ordered (T, 28) array.
+    fields = np.ascontiguousarray(pointwise_fields(p, q, p_after, q_after, e, g))
     return solve_accumulated(fields.sum(axis=0), ridge=ridge)
 
 

@@ -27,11 +27,12 @@ results (tested):
 * ``engine="batched"`` (default) -- the hypothesis axis is stacked too:
   the per-hypothesis normal-equation fields of a whole chunk of the
   ``(2N_zs+1)^2`` search window are built with one broadcast
-  :func:`~repro.core.continuous.pointwise_fields` call, box-summed with
-  one separable uniform filter sweep over the stack (internally a
-  shared cumulative sliding sum per axis) and solved with ONE batched
-  :func:`~repro.core.linalg.gaussian_eliminate` call -- the whole-search
-  SIMD rendering, minus per-hypothesis Python dispatch.
+  :func:`~repro.core.continuous.pointwise_fields` call (28 contiguous
+  planes), box-summed with one separable uniform filter sweep over the
+  stack (internally a shared cumulative sliding sum per axis) and
+  solved with ONE :func:`~repro.core.continuous.solve_accumulated` call
+  that reads the planes in place -- the whole-search SIMD rendering,
+  minus per-hypothesis Python dispatch.
 * ``engine="serial"`` -- one hypothesis at a time, kept as the
   validation baseline and the pre-optimization benchmark reference.
 
@@ -75,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..kernels import resolve_backend
-from ..kernels.reference import box_sum_stack as _kernel_box_sum_stack
+from ..kernels.reference import box_sum_stack as _box_sum_stack
 from ..kernels.reference import strided_window_sums
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
@@ -90,7 +91,6 @@ from .continuous import (
 from .prep import FramePreparationCache, prepare_frame
 from .semifluid import (
     ScoreVolume,
-    box_sum,
     compute_score_volume,
     semifluid_displacements,
     semifluid_map_pixel,
@@ -100,11 +100,11 @@ from .surface import SurfaceGeometry
 
 #: Soft cap on the stacked per-hypothesis field bytes held live by the
 #: batched engine; chunks the ``(2N_zs+1)^2`` search when exceeded.
-#: Small on purpose: the per-hypothesis working set (28 packed fields,
-#: their box sums, the unpacked 6x6 systems) must stay cache-resident --
-#: profiling shows monolithic stacks run several times SLOWER than
-#: one-or-two-hypothesis chunks because every stage becomes a strided
-#: sweep over main memory.
+#: Small on purpose: the per-hypothesis working set (28 packed field
+#: planes and their box sums, which the fused solve reads in place)
+#: must stay cache-resident -- profiling shows monolithic stacks run
+#: several times SLOWER than one-or-two-hypothesis chunks because every
+#: stage becomes a sweep over main memory.
 DEFAULT_BATCH_BYTES = 2**20
 
 #: Certificate-grid spacing of the pruned engine.  With certificate
@@ -335,11 +335,7 @@ def hypothesis_fields(
     displacements ``(delta_y, delta_x)`` for this hypothesis.
     """
     fields = _hypothesis_pointwise(prepared, hyp_dy, hyp_dx, shifted_after, deltas)
-    config = prepared.config
-    accumulated = np.empty_like(fields)
-    for k in range(N_FIELDS):
-        accumulated[..., k] = box_sum(fields[..., k], config.n_zt)
-    return accumulated
+    return _box_sum_stack(fields[None], prepared.config.n_zt)[0]
 
 
 def track_dense(
@@ -456,15 +452,18 @@ def _track_dense_serial(
     )
 
 
-def _box_sum_stack(fields: np.ndarray, half_width: int) -> np.ndarray:
-    """Box sum over the image axes of a ``(n, H, W, 28)`` stack.
+def _solve_pixels(
+    accumulated: np.ndarray, pixels: np.ndarray, ridge: float, prefer_native: bool
+):
+    """Solve the ``(H, W, 28)`` accumulated systems at flat pixel indices.
 
-    Delegates to the consolidated kernels-module implementation
-    (arithmetic per (n, k) slice identical to
-    :func:`repro.core.semifluid.box_sum` on that slice, hence
-    bit-identical to the serial engine).
+    Each of the 28 planes is gathered with one contiguous take, and the
+    solve reads the gathered ``(28, S)`` planes as an ``(S, 28)`` view.
     """
-    return _kernel_box_sum_stack(fields, half_width)
+    planes = np.moveaxis(accumulated, -1, 0).reshape(N_FIELDS, -1)
+    return solve_accumulated(
+        np.take(planes, pixels, axis=1).T, ridge=ridge, prefer_native=prefer_native
+    )
 
 
 def _track_dense_batched(
@@ -563,7 +562,8 @@ class _CertificateGrid:
             np.round((np.arange(w) - m) / CERT_STRIDE).astype(np.intp),
             0, self.gx.size - 1,
         )
-        self.pixel_to_grid = np.ix_(iy, ix)
+        #: Flat index of every pixel's nearest grid center.
+        self.pixel_to_grid = iy[:, None] * self.gx.size + ix[None, :]
         tol = n_zt - m
         cy = m + CERT_STRIDE * iy
         cx = m + CERT_STRIDE * ix
@@ -605,23 +605,27 @@ class _CertificateGrid:
         return strided_window_sums(arr, axis, grid_size, CERT_STRIDE, self.m)
 
     def lower_bounds(self, pw: np.ndarray, ridge: float, prefer_native: bool = True):
-        """Per-pixel error lower bound + fp slack for one hypothesis.
+        """Per-pixel error lower bound, less its fp slack, for one hypothesis.
 
-        ``pw`` is the ``(H, W, 28)`` pointwise field of the hypothesis.
-        Returns ``(lb, slack)`` with shapes ``(H, W)``.
+        ``pw`` is the ``(H, W, 28)`` pointwise field of the hypothesis;
+        the window sums run over its ``(28, H, W)`` planes, and the
+        solve reads the summed planes in place.  Returns ``(H, W)``: a
+        pixel whose best error so far is below its value cannot be won
+        by this hypothesis.  Pixels beyond the grid get ``-inf`` (never
+        pruned).
         """
-        tmp = self._window_sums(pw, 1, self.gx.size)
-        acc = self._window_sums(tmp, 0, self.gy.size)
-        solution = solve_accumulated(acc, ridge=ridge, prefer_native=prefer_native)
+        planes = np.moveaxis(pw, -1, 0)
+        tmp = self._window_sums(planes, 2, self.gx.size)
+        acc = self._window_sums(tmp, 1, self.gy.size)
+        solution = solve_accumulated(
+            np.moveaxis(acc, 0, -1), ridge=ridge, prefer_native=prefer_native
+        )
         # A singular certificate system reports E(0) = c, which is NOT a
         # lower bound on the minimum; bound zero keeps the pixel honest.
-        lb_grid = np.where(solution.singular, 0.0, solution.error)
-        lb = np.where(self.in_range, lb_grid[self.pixel_to_grid], 0.0)
-        slack = (
-            CERT_SLACK_REL * np.abs(acc[..., N_FIELDS - 1][self.pixel_to_grid])
-            + CERT_SLACK_ABS
-        )
-        return lb, slack
+        lb = np.where(solution.singular, 0.0, solution.error)
+        slack = CERT_SLACK_REL * np.abs(acc[N_FIELDS - 1]) + CERT_SLACK_ABS
+        bound = np.take((lb - slack).ravel(), self.pixel_to_grid)
+        return np.where(self.in_range, bound, -np.inf)
 
 
 def _track_dense_pruned(
@@ -675,9 +679,9 @@ def _track_dense_pruned(
             deltas = semifluid_displacements(prepared.volume, hyp_dy, hyp_dx, config.n_ss)
         pw = _hypothesis_pointwise(prepared, hyp_dy, hyp_dx, shifted_after, deltas)
         if have_best:
-            lb, slack = grid.lower_bounds(pw, ridge, prefer_native)
+            bound = grid.lower_bounds(pw, ridge, prefer_native)
             cert_solves += grid.systems
-            survivors = np.flatnonzero(~((lb - slack) > best_error).ravel())
+            survivors = np.flatnonzero(~(bound > best_error).ravel())
             pruned += pixels - survivors.size
         else:
             # Nothing can prune against best = inf, so the first
@@ -690,10 +694,7 @@ def _track_dense_pruned(
         # from the array origin, so cropping to the survivor bounding
         # box would change bits relative to the exhaustive engine.
         accumulated = _box_sum_stack(pw[None], config.n_zt)[0]
-        solution = solve_accumulated(
-            accumulated.reshape(-1, N_FIELDS)[survivors], ridge=ridge,
-            prefer_native=prefer_native,
-        )
+        solution = _solve_pixels(accumulated, survivors, ridge, prefer_native)
         survivor_solves += survivors.size
         have_best = True
         better = solution.error < flat_error[survivors]
@@ -852,10 +853,7 @@ def _track_dense_pyramid(
             pw = _hypothesis_pointwise(prepared, hyp_dy, hyp_dx)
             accumulated = _box_sum_stack(pw[None], config.n_zt)[0]
             wanted = np.flatnonzero(mask.ravel())
-            solution = solve_accumulated(
-                accumulated.reshape(-1, N_FIELDS)[wanted], ridge=ridge,
-                prefer_native=prefer_native,
-            )
+            solution = _solve_pixels(accumulated, wanted, ridge, prefer_native)
             fine_solves += wanted.size
             better = solution.error < flat_error[wanted]
             winners = wanted[better]

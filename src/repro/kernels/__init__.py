@@ -8,8 +8,9 @@ executions plug into the same chain:
 
 * :mod:`repro.kernels.reference` -- the serial NumPy path; THE
   bit-identity reference the native kernel answers to.
-* :mod:`repro.native` -- the C kernel for the batched eliminate,
-  bitwise-equal by construction and cross-checked on load.
+* :mod:`repro.native` -- the C kernels for the batched eliminate and
+  the fused solve of packed fields, bitwise-equal by construction and
+  cross-checked on load.
 
 :func:`resolve_backend` is the single selection point.  Backend names
 (:data:`repro.options.BACKENDS`):

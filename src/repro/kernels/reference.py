@@ -90,65 +90,72 @@ def pointwise_fields(p, q, p_after, q_after, e, g) -> np.ndarray:
 
     Summing the packed fields over a template window and solving
     ``H theta = -grad`` minimizes eq. (3) over that window.  Output
-    shape is ``broadcast_shape + (28,)``.
+    shape is ``broadcast_shape + (28,)``: a view of plane-major storage,
+    28 contiguous ``broadcast_shape`` planes, so each field is written,
+    box-summed and solved without a layout copy.
     """
-    a1, r1, a2, r2 = residual_rows(p, q, p_after, q_after)
-    e = np.asarray(e, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    p, q, p_after, q_after, e, g = (
+        np.asarray(x, dtype=np.float64) for x in (p, q, p_after, q_after, e, g)
+    )
+    out_shape = np.broadcast_shapes(
+        p.shape, q.shape, p_after.shape, q_after.shape, e.shape, g.shape
+    )
+    # The columns of residual_rows' a1/a2 as separate planes: the -1
+    # columns stay scalars and the structural zeros (never read) are None.
+    dp = p_after - p
+    dq = q_after - q
+    a1 = (p_after, None, q, dp, -1.0, None)
+    a2 = (dq, p, None, q_after, None, -1.0)
     w1 = 1.0 / (e * e)
     w2 = 1.0 / (g * g)
-    out_shape = a1.shape[:-1]
     # Hoist the weight products out of the 28-field loop.  Python's *
     # is left-associative, so ``w1 * a1_i * a1_j == (w1 * a1_i) * a1_j``
     # exactly: precomputing ``w1 * a1`` (and ``w1 * r1``) reuses the
     # identical first product and keeps every output bit unchanged.
-    wa1 = w1[..., None] * a1
-    wa2 = w2[..., None] * a2
-    w1r1 = w1 * r1
-    w2r2 = w2 * r2
-    fields = np.empty(out_shape + (N_FIELDS,), dtype=np.float64)
+    wa1 = [None if col is None else w1 * col for col in a1]
+    wa2 = [None if col is None else w2 * col for col in a2]
+    w1r1 = w1 * dp
+    w2r2 = w2 * dq
+    planes = np.empty((N_FIELDS,) + out_shape, dtype=np.float64)
+    buf = np.empty(out_shape, dtype=np.float64)
     # Structural zeros: a1 columns 1 and 5 and a2 columns 2 and 4 are
     # identically zero (residual_rows), and the weights are finite and
     # strictly positive (E, G >= 1), so each vanished product is an
     # exact IEEE zero.  Skipping those products leaves every template
     # accumulation and solver input bit-for-bit unchanged (a +-0 term
     # never moves a running sum); only the sign of a structurally-zero
-    # raw entry can differ, which no consumer observes.  Two reusable
-    # scratch buffers replace the three fresh temporaries per field.
-    a1_zero = A1_ZERO_COLUMNS
-    a2_zero = A2_ZERO_COLUMNS
-    buf_a = np.empty(out_shape, dtype=np.float64)
-    buf_b = np.empty(out_shape, dtype=np.float64)
+    # raw entry can differ, which no consumer observes.
     for idx, (i, j) in enumerate(TRIU_INDICES):
-        keep1 = i not in a1_zero and j not in a1_zero
-        keep2 = i not in a2_zero and j not in a2_zero
-        if keep1 and keep2:
-            np.multiply(wa1[..., i], a1[..., j], out=buf_a)
-            np.multiply(wa2[..., i], a2[..., j], out=buf_b)
-            np.add(buf_a, buf_b, out=buf_a)
-            fields[..., idx] = buf_a
-        elif keep1:
-            np.multiply(wa1[..., i], a1[..., j], out=buf_a)
-            fields[..., idx] = buf_a
-        elif keep2:
-            np.multiply(wa2[..., i], a2[..., j], out=buf_a)
-            fields[..., idx] = buf_a
-        else:
-            fields[..., idx] = 0.0
+        pairs = []
+        if i not in A1_ZERO_COLUMNS and j not in A1_ZERO_COLUMNS:
+            pairs.append((wa1[i], a1[j]))
+        if i not in A2_ZERO_COLUMNS and j not in A2_ZERO_COLUMNS:
+            pairs.append((wa2[i], a2[j]))
+        _sum_of_products(planes[idx, ...], buf, pairs)
     for k in range(N_PARAMS):
-        if k not in a1_zero and k not in a2_zero:
-            np.multiply(w1r1, a1[..., k], out=buf_a)
-            np.multiply(w2r2, a2[..., k], out=buf_b)
-            np.add(buf_a, buf_b, out=buf_a)
-            fields[..., N_TRIU + k] = buf_a
-        elif k not in a1_zero:
-            np.multiply(w1r1, a1[..., k], out=buf_a)
-            fields[..., N_TRIU + k] = buf_a
-        else:
-            np.multiply(w2r2, a2[..., k], out=buf_a)
-            fields[..., N_TRIU + k] = buf_a
-    fields[..., N_TRIU + N_PARAMS] = w1r1 * r1 + w2r2 * r2
-    return fields
+        pairs = []
+        if k not in A1_ZERO_COLUMNS:
+            pairs.append((w1r1, a1[k]))
+        if k not in A2_ZERO_COLUMNS:
+            pairs.append((w2r2, a2[k]))
+        _sum_of_products(planes[N_TRIU + k, ...], buf, pairs)
+    _sum_of_products(planes[N_TRIU + N_PARAMS, ...], buf, [(w1r1, dp), (w2r2, dq)])
+    return np.moveaxis(planes, 0, -1)
+
+
+def _sum_of_products(out, buf, pairs) -> None:
+    """``out = x1 * y1 + x2 * y2`` over the ``(x, y)`` factor pairs.
+
+    One pair gives the bare product and none gives zero.  ``buf`` holds
+    the second product, so no temporary is allocated.
+    """
+    if not pairs:
+        out[...] = 0.0
+        return
+    np.multiply(*pairs[0], out=out)
+    if len(pairs) == 2:
+        np.multiply(*pairs[1], out=buf)
+        np.add(out, buf, out=out)
 
 
 def box_sum_rect(field: np.ndarray, half_y: int, half_x: int) -> np.ndarray:
@@ -179,24 +186,28 @@ def box_sum(field: np.ndarray, half_width: int) -> np.ndarray:
 def box_sum_stack(fields: np.ndarray, half_width: int) -> np.ndarray:
     """Box sum over the image axes of a ``(n, H, W, 28)`` stack.
 
-    One separable uniform-filter sweep (a cumulative sliding sum per
-    axis in the scipy implementation) shared by every hypothesis and
-    every packed field -- arithmetic per (n, k) slice identical to
-    :func:`box_sum` on that slice, hence bit-identical to summing the
-    slices one at a time.
+    The packed axis is moved to the front and every ``(H, W)`` plane
+    gets the two :func:`box_sum` passes, rows then columns, through one
+    ``uniform_filter1d`` call per axis over the whole stack.  scipy's
+    1-d kernel walks each image line with the identical running-sum
+    arithmetic whatever the memory layout, so each ``(n, k)`` slice is
+    bit-identical to :func:`box_sum` on that slice.  Plane-major input
+    (what :func:`pointwise_fields` returns) is read where it lies, with
+    no copy; the result is a ``(n, H, W, 28)`` view of plane-major
+    storage.
     """
     if half_width == 0:
         return fields.astype(np.float64, copy=True)
     side = 2 * half_width + 1
-    # Filter a channels-first copy: scipy's 1-d kernel walks each image
-    # line with the identical running-sum arithmetic regardless of
-    # memory layout (same axis order: rows then columns), so the result
-    # is bit-for-bit the same while the inner loop becomes contiguous.
-    stacked = np.ascontiguousarray(np.moveaxis(fields.astype(np.float64), 3, 1))
-    summed = ndimage.uniform_filter(
-        stacked, size=(1, 1, side, side), mode="constant", cval=0.0
-    ) * float(side * side)
-    return np.ascontiguousarray(np.moveaxis(summed, 1, 3))
+    planes = np.moveaxis(np.asarray(fields, dtype=np.float64), -1, 0)
+    summed = np.empty(planes.shape, dtype=np.float64)
+    for axis in (-2, -1):
+        ndimage.uniform_filter1d(
+            planes, side, axis=axis, output=summed, mode="constant", cval=0.0
+        )
+        planes = summed
+    summed *= float(side * side)
+    return np.moveaxis(summed, 0, -1)
 
 
 def strided_window_sums(
@@ -206,9 +217,10 @@ def strided_window_sums(
 
     Windows are ``2 * half_width + 1`` wide and start every ``stride``
     elements, so whole stride-width bins can be pre-summed once with
-    one contiguous reshape-sum; each window is then ``side // stride``
+    ``stride`` whole-array adds; each window is then ``side // stride``
     contiguous bin adds plus at most ``stride - 1`` strided adds for
-    the leftover columns, instead of ``side`` strided adds.  The
+    the leftover columns, instead of ``side`` strided adds.  Any memory
+    layout works; plane-major ``(28, H, W)`` stacks are the fast one.  The
     grouping changes the floating-point summation order, which only
     perturbs the pruned schedule's *bound* within the certificate
     slack -- the field itself never flows through this path.
@@ -217,25 +229,33 @@ def strided_window_sums(
     whole, rest = divmod(side, stride)
     n_bins = grid_size - 1 + whole
 
-    index: list = [slice(None)] * arr.ndim
-    index[axis] = slice(0, stride * n_bins)
-    shape = list(arr.shape)
-    shape[axis : axis + 1] = [n_bins, stride]
-    bins = arr[tuple(index)].reshape(shape).sum(axis=axis + 1)
+    def along(start: int, stop: int, step: int = 1) -> np.ndarray:
+        ix: list = [slice(None)] * arr.ndim
+        ix[axis] = slice(start, stop, step)
+        return arr[tuple(ix)]
+
+    # Bin k is ((a[s k] + a[s k + 1]) + ...): the order a reduce over a
+    # reshaped bin axis takes, written as whole-array adds so that it
+    # runs as fast along the contiguous axis of a plane as across planes.
+    bins = _ordered_sum([along(k, stride * n_bins, stride) for k in range(stride)])
 
     def bin_run(start: int) -> np.ndarray:
         ix: list = [slice(None)] * bins.ndim
         ix[axis] = slice(start, start + grid_size)
         return bins[tuple(ix)]
 
-    out = bin_run(0).copy()
-    for j in range(1, whole):
-        out += bin_run(j)
-    for k in range(rest):
-        ix = [slice(None)] * arr.ndim
-        first = stride * whole + k
-        ix[axis] = slice(first, first + stride * (grid_size - 1) + 1, stride)
-        out += arr[tuple(ix)]
+    leftovers = [
+        along(first, first + stride * (grid_size - 1) + 1, stride)
+        for first in range(stride * whole, stride * whole + rest)
+    ]
+    return _ordered_sum([bin_run(j) for j in range(whole)] + leftovers)
+
+
+def _ordered_sum(terms: list) -> np.ndarray:
+    """``((t0 + t1) + t2) + ...`` into one new array."""
+    out = terms[0] + terms[1] if len(terms) > 1 else terms[0].copy()
+    for term in terms[2:]:
+        out += term
     return out
 
 

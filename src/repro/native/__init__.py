@@ -8,17 +8,20 @@ SAME IEEE-754 arithmetic an order of magnitude faster.
 
 This package compiles :mod:`gauss.c` on demand with the system C compiler
 (no new dependencies, no NumPy headers -- the boundary is plain ``ctypes``)
-and exposes :func:`native_gauss_eliminate`.  The contract is strict
-bit-identity with :func:`repro.core.linalg.gaussian_eliminate`'s NumPy
-path:
+and exposes :func:`native_gauss_eliminate` and :func:`native_solve_packed`,
+the fused unpack-eliminate-error solve of packed normal-equation fields.
+The contract is strict bit-identity with the NumPy paths of
+:func:`repro.core.linalg.gaussian_eliminate` and
+:func:`repro.core.continuous.solve_accumulated`:
 
 * the C kernel replicates the reference arithmetic element for element
   (see the comment block in ``gauss.c``),
 * it is compiled with ``-ffp-contract=off`` so the compiler cannot fuse
   multiply-adds into differently-rounded FMAs, and
-* :func:`_self_check` verifies bitwise agreement on a batch of adversarial
-  systems (random, singular, NaN, infinity) before the kernel is ever
-  trusted; any mismatch or build failure quietly disables the kernel.
+* :func:`_self_check` verifies bitwise agreement of both entry points on
+  adversarial batches (random, singular, NaN, infinity, signed zeros)
+  before the kernel is ever trusted; any mismatch or build failure
+  quietly disables the kernel.
 
 Control knobs:
 
@@ -60,6 +63,7 @@ from ..obs.tracing import TRACER
 __all__ = [
     "native_available",
     "native_gauss_eliminate",
+    "native_solve_packed",
     "native_status",
     "reset",
 ]
@@ -69,7 +73,7 @@ _LOG = get_logger("native")
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "gauss.c"
 _BUILD_DIR = _HERE / "_build"
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
+_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
 #: Lazily populated: None = not attempted, (lib, None) = usable,
 #: (None, reason) = unusable.
@@ -137,7 +141,7 @@ def _reference_eliminate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _self_check(lib: ctypes.CDLL) -> None:
-    """Demand bitwise agreement with the NumPy path on adversarial systems."""
+    """Demand bitwise agreement with the NumPy paths on adversarial inputs."""
     rng = np.random.default_rng(20260806)
     a = rng.normal(size=(64, 6, 6)) * np.exp(rng.normal(scale=4.0, size=(64, 1, 1)))
     b = rng.normal(size=(64, 6))
@@ -154,6 +158,35 @@ def _self_check(lib: ctypes.CDLL) -> None:
         np.array_equal(x_ref, x_nat, equal_nan=True) and np.array_equal(s_ref, s_nat)
     ):
         raise AssertionError("native gauss kernel disagrees with NumPy reference")
+    _check_solve_packed(lib, rng)
+
+
+def _check_solve_packed(lib: ctypes.CDLL, rng: np.random.Generator) -> None:
+    """Bitwise agreement of ``solve_packed`` with ``solve_accumulated``'s NumPy path.
+
+    The batch is a plane-major view, so the strided read is what gets
+    checked, at the default ridge (one NumPy solve costs ~0.5 ms, and
+    this check runs on every load).
+    """
+    from ..core.continuous import solve_accumulated
+
+    planes = rng.normal(size=(28, 24)) * np.exp(rng.normal(scale=3.0, size=(1, 24)))
+    planes[:, 0] = 0.0  # singular, every input +0.0
+    planes[:, 1] = -0.0  # singular, every input -0.0
+    planes[5, 2] = np.nan  # NaN pivot
+    planes[23, 3] = np.inf  # infinite gradient
+    planes[27, 4] = -1e6  # negative error, clamped to zero
+    planes[27, 5] = np.nan  # NaN constant
+    fields = planes.T
+    with np.errstate(all="ignore"):
+        ref = solve_accumulated(fields, prefer_native=False)
+        params, error, singular = _call_solve_packed(lib, fields, 1e-9)
+    if not (
+        params.tobytes() == ref.params.tobytes()
+        and error.tobytes() == ref.error.tobytes()
+        and np.array_equal(singular, ref.singular)
+    ):
+        raise AssertionError("native solve_packed disagrees with NumPy reference")
 
 
 def _call_kernel(
@@ -180,6 +213,39 @@ def _call_kernel(
     return (
         x.reshape(batch_shape + (n,)),
         singular.astype(bool).reshape(batch_shape),
+    )
+
+
+def _call_solve_packed(
+    lib: ctypes.CDLL, fields: np.ndarray, ridge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    fields = np.asarray(fields, dtype=np.float64)
+    if fields.ndim == 0 or fields.shape[-1] != 28:
+        raise ValueError(f"expected 28 packed fields, got shape {fields.shape}")
+    batch_shape = fields.shape[:-1]
+    flat = fields.reshape(-1, fields.shape[-1])  # a view wherever the batch axes merge
+    if any(stride % flat.itemsize for stride in flat.strides):
+        flat = np.ascontiguousarray(flat)
+    m = flat.shape[0]
+    params = np.empty((m, 6), dtype=np.float64)
+    error = np.empty(m, dtype=np.float64)
+    singular = np.empty(m, dtype=np.uint8)
+    if m:
+        lib.solve_packed(
+            flat.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            ctypes.c_ssize_t(m),
+            ctypes.c_ssize_t(flat.strides[0] // flat.itemsize),
+            ctypes.c_ssize_t(flat.strides[1] // flat.itemsize),
+            ctypes.c_double(ridge),
+            ctypes.c_int(bool(ridge)),
+            params.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            error.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            singular.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        )
+    return (
+        params.reshape(batch_shape + (6,)),
+        error.reshape(batch_shape),
+        singular.view(bool).reshape(batch_shape),
     )
 
 
@@ -210,6 +276,18 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
             ctypes.POINTER(ctypes.c_ubyte),
             ctypes.c_ssize_t,
             ctypes.c_ssize_t,
+        ]
+        lib.solve_packed.restype = ctypes.c_int
+        lib.solve_packed.argtypes = [
+            ctypes.POINTER(ctypes.c_double),
+            ctypes.c_ssize_t,
+            ctypes.c_ssize_t,
+            ctypes.c_ssize_t,
+            ctypes.c_double,
+            ctypes.c_int,
+            ctypes.POINTER(ctypes.c_double),
+            ctypes.POINTER(ctypes.c_double),
+            ctypes.POINTER(ctypes.c_ubyte),
         ]
         with TRACER.span("native.self_check"):
             _self_check(lib)
@@ -282,3 +360,17 @@ def native_gauss_eliminate(
     if lib is None:
         raise RuntimeError(f"native kernel unavailable: {reason}")
     return _call_kernel(lib, matrices, rhs)
+
+
+def native_solve_packed(
+    fields: np.ndarray, ridge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fused solve of packed ``(..., 28)`` fields: ``(params, error, singular)``.
+
+    Any strided view is read in place.  Caller must check availability
+    first.
+    """
+    lib, reason = _load()
+    if lib is None:
+        raise RuntimeError(f"native kernel unavailable: {reason}")
+    return _call_solve_packed(lib, fields, ridge)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.continuous import N_FIELDS, solve_accumulated
+from ..core.continuous import solve_accumulated
 from ..core.field import MotionField
 from ..core.matching import (
     PreparedFrames,
@@ -40,6 +40,7 @@ from ..core.matching import (
     _CertificateGrid,
     _hypothesis_pointwise,
     _shifted_geometry_stack,
+    _solve_pixels,
     hypothesis_fields,
     prepare_frames,
     valid_mask,
@@ -346,13 +347,11 @@ class ParallelSMA:
             if cert_grid is not None:
                 pw = _hypothesis_pointwise(prepared, dy, dx, shifted_after, deltas)
                 if np.isfinite(running_best).any():
-                    lb, slack = cert_grid.lower_bounds(
+                    bound = cert_grid.lower_bounds(
                         pw, self.ridge, prefer_native=resolved.prefer_native
                     )
                     cert_solves = cert_grid.systems
-                    survivors = np.flatnonzero(
-                        ~((lb - slack) > running_best).ravel()
-                    )
+                    survivors = np.flatnonzero(~(bound > running_best).ravel())
                 else:
                     # nothing can prune against best = inf: skip the
                     # certificate pass for the first hypothesis
@@ -362,10 +361,8 @@ class ParallelSMA:
                 params = np.zeros(shape + (6,), dtype=np.float64)
                 if survivors.size:
                     accumulated = _box_sum_stack(pw[None], self.config.n_zt)[0]
-                    solution = solve_accumulated(
-                        accumulated.reshape(-1, N_FIELDS)[survivors],
-                        ridge=self.ridge,
-                        prefer_native=resolved.prefer_native,
+                    solution = _solve_pixels(
+                        accumulated, survivors, self.ridge, resolved.prefer_native
                     )
                     error.ravel()[survivors] = solution.error
                     params.reshape(-1, 6)[survivors] = solution.params

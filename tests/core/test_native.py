@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.continuous import N_FIELDS, pointwise_fields, solve_accumulated
 from repro.core.linalg import gaussian_eliminate
 from repro.native import native_available, native_gauss_eliminate, native_status
 
@@ -79,6 +80,100 @@ class TestBitIdentity:
         via_dispatch = gaussian_eliminate(a, b)
         direct = native_gauss_eliminate(a, b)
         assert via_dispatch[0].tobytes() == direct[0].tobytes()
+
+
+def _adversarial_planes(height: int = 6, width: int = 7, seed: int = 4) -> np.ndarray:
+    """Packed fields as 28 contiguous ``(H, W)`` planes, with traps.
+
+    Most systems are real template sums (summed pointwise fields of
+    random samples, so well conditioned); the rest are singular, carry
+    a NaN pivot, an infinity or signed zeros, or have a constant term
+    low enough that the minimized error goes negative and is clamped.
+    """
+    rng = np.random.default_rng(seed)
+    p, q, pa, qa = rng.normal(scale=0.5, size=(4, height, width, 25))
+    fields = pointwise_fields(p, q, pa, qa, 1 + p * p, 1 + q * q).sum(axis=-2)
+    planes = np.ascontiguousarray(np.moveaxis(fields, -1, 0))
+    planes[:, 0, 0] = 0.0
+    planes[[0, 6, 11, 15, 18, 20], 0, 0] = -1e-9  # singular once the ridge is added
+    planes[:, 0, 1] = -0.0  # every entry -0.0: singular without a ridge
+    # Diagonal system with -0.0 off the diagonal and a +0.0 gradient: the
+    # ridge turns the off-diagonals into +0.0, which the signs of the
+    # zero solution show.
+    planes[:, 0, 2] = -0.0
+    planes[[0, 6, 11, 15, 18, 20], 0, 2] = 2.0
+    planes[N_FIELDS - 7 : N_FIELDS - 1, 0, 2] = 0.0
+    planes[N_FIELDS - 1, 0, 2] = 1.0
+    planes[5, 0, 3] = np.nan  # NaN pivot
+    planes[0, 0, 4] = np.inf  # infinite pivot
+    planes[23, 0, 5] = np.inf  # infinite gradient
+    planes[27, 0, 6] = np.nan  # NaN constant
+    planes[27, 1, :] = -1e3  # minimized error negative: clamped to +0.0
+    planes[:, 2, 0] = rng.normal(size=28)  # indefinite, any sign
+    return planes
+
+
+def _solution_bytes(solution) -> tuple[bytes, bytes, bytes]:
+    return (
+        np.ascontiguousarray(solution.params).tobytes(),
+        np.ascontiguousarray(solution.error).tobytes(),
+        np.ascontiguousarray(solution.singular).tobytes(),
+    )
+
+
+class TestStridedSolve:
+    """``solve_accumulated`` reads any ``(..., 28)`` view: same bits for all."""
+
+    PREFER_NATIVE = [
+        False,
+        pytest.param(True, marks=needs_native),
+    ]
+
+    @pytest.mark.parametrize("ridge", [1e-9, 0.0])
+    @pytest.mark.parametrize("prefer_native", PREFER_NATIVE)
+    def test_plane_major_contiguous_and_gathered_agree(self, prefer_native, ridge):
+        planes = _adversarial_planes()
+        view = np.moveaxis(planes, 0, -1)  # (H, W, 28) over plane-major storage
+        contiguous = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous and contiguous.flags.c_contiguous
+        with np.errstate(all="ignore"):
+            reference = solve_accumulated(contiguous, ridge=ridge, prefer_native=False)
+            got_view = solve_accumulated(view, ridge=ridge, prefer_native=prefer_native)
+            got_copy = solve_accumulated(contiguous, ridge=ridge, prefer_native=prefer_native)
+            survivors = np.array([40, 0, 6, 3, 1, 9, 5, 2, 4, 17])
+            gathered = view.reshape(-1, N_FIELDS)[survivors]
+            got_gather = solve_accumulated(gathered, ridge=ridge, prefer_native=prefer_native)
+            taken = np.take(planes.reshape(N_FIELDS, -1), survivors, axis=1).T
+            got_take = solve_accumulated(taken, ridge=ridge, prefer_native=prefer_native)
+        expected = _solution_bytes(reference)
+        assert _solution_bytes(got_view) == expected
+        assert _solution_bytes(got_copy) == expected
+        flat = reference.params.reshape(-1, 6)[survivors]
+        rows = (
+            flat.tobytes(),
+            reference.error.ravel()[survivors].tobytes(),
+            reference.singular.ravel()[survivors].tobytes(),
+        )
+        assert _solution_bytes(got_gather) == rows
+        assert _solution_bytes(got_take) == rows
+
+    def test_batch_has_every_trap(self):
+        planes = _adversarial_planes()
+        with np.errstate(all="ignore"):
+            solution = solve_accumulated(np.moveaxis(planes, 0, -1), prefer_native=False)
+            unridged = solve_accumulated(np.moveaxis(planes, 0, -1), ridge=0.0,
+                                         prefer_native=False)
+        assert solution.singular[0, 0] and unridged.singular[0, 1]
+        assert np.isnan(solution.error[0, 3]) or np.isnan(solution.params[0, 3]).any()
+        assert np.isnan(solution.error[0, 6])
+        clamped = solution.error[1] == 0.0
+        assert clamped.any() and not solution.singular[1][clamped].any()
+        assert not np.signbit(solution.error[1][clamped]).any()
+
+    @pytest.mark.parametrize("prefer_native", PREFER_NATIVE)
+    def test_wrong_width_rejected(self, prefer_native):
+        with pytest.raises(ValueError, match="28 packed fields"):
+            solve_accumulated(np.zeros((3, 27)), prefer_native=prefer_native)
 
 
 class TestBuildCacheKey:
@@ -174,6 +269,23 @@ class TestLoadRetry:
 
         monkeypatch.setattr(native, "_self_check", broken_check)
         assert not native.native_available()
+        assert not native.native_available()
+        assert calls["n"] == 1, "a wrong kernel must not be re-probed"
+
+    def test_disagreeing_solve_packed_is_refused_permanently(self, monkeypatch):
+        from repro import native
+
+        real_call = native._call_solve_packed
+        calls = {"n": 0}
+
+        def off_by_one_ulp(lib, fields, ridge):
+            calls["n"] += 1
+            params, error, singular = real_call(lib, fields, ridge)
+            return params, np.nextafter(error, np.inf), singular
+
+        monkeypatch.setattr(native, "_call_solve_packed", off_by_one_ulp)
+        assert not native.native_available()
+        assert "solve_packed disagrees" in native.native_status()
         assert not native.native_available()
         assert calls["n"] == 1, "a wrong kernel must not be re-probed"
 
