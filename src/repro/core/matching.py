@@ -546,7 +546,7 @@ class _CertificateGrid:
     distance <= ``n_zt - m``), so the certificate window is a subset of
     that pixel's own template window and its minimized error is a
     sound lower bound; pixels beyond the last grid row/column get a
-    bound of zero (never pruned).
+    bound of ``-inf`` (never pruned).
     """
 
     def __init__(self, shape: tuple[int, int], n_zt: int, m: int) -> None:
@@ -594,29 +594,20 @@ class _CertificateGrid:
         """Certificate solves per hypothesis (one per grid point)."""
         return self.gy.size * self.gx.size
 
-    def _window_sums(self, arr: np.ndarray, axis: int, grid_size: int) -> np.ndarray:
-        """Sum ``arr`` over every certificate window along ``axis``.
-
-        Delegates to the consolidated kernels-module implementation; the
-        bin-grouped summation order only perturbs the *bound* within the
-        certificate slack -- the field itself never flows through this
-        path.
-        """
-        return strided_window_sums(arr, axis, grid_size, CERT_STRIDE, self.m)
-
     def lower_bounds(self, pw: np.ndarray, ridge: float, prefer_native: bool = True):
         """Per-pixel error lower bound, less its fp slack, for one hypothesis.
 
         ``pw`` is the ``(H, W, 28)`` pointwise field of the hypothesis;
-        the window sums run over its ``(28, H, W)`` planes, and the
-        solve reads the summed planes in place.  Returns ``(H, W)``: a
-        pixel whose best error so far is below its value cannot be won
-        by this hypothesis.  Pixels beyond the grid get ``-inf`` (never
-        pruned).
+        the window sums run over its ``(28, H, W)`` planes, rows first:
+        that pass reads whole plane rows, so the strided column pass
+        only sees the ``gy`` summed rows.  The solve reads the summed
+        planes in place.  Returns ``(H, W)``: a pixel whose best error
+        so far is below its value cannot be won by this hypothesis.
+        Pixels beyond the grid get ``-inf`` (never pruned).
         """
         planes = np.moveaxis(pw, -1, 0)
-        tmp = self._window_sums(planes, 2, self.gx.size)
-        acc = self._window_sums(tmp, 1, self.gy.size)
+        rows = strided_window_sums(planes, 1, self.gy.size, CERT_STRIDE, self.m)
+        acc = strided_window_sums(rows, 2, self.gx.size, CERT_STRIDE, self.m)
         solution = solve_accumulated(
             np.moveaxis(acc, 0, -1), ridge=ridge, prefer_native=prefer_native
         )
