@@ -13,10 +13,14 @@ SciPy 1.x).
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.core.matching import prepare_frames, track_dense
 from repro.data import datasets
+from repro.extensions.subpixel import track_dense_with_volume
 from repro.kernels import result_digest
 from repro.maspar.machine import scaled_machine
 from repro.native import native_available
@@ -29,6 +33,16 @@ from repro.parallel.parallel_sma import PHASE_MATCHING, ParallelSMA
 LUIS64_DIGEST = "3ed9e8a422b49be60b9fcea48dd50910"
 LUIS64_PRUNED_GE_SOLVES = 133173
 LUIS64_PRUNED_HYPOTHESES = 227483
+
+#: ``track_dense(search="pyramid")`` on the same pair (default levels
+#: and refine): approximate by design, so it has its own digest.
+LUIS64_PYRAMID_DIGEST = "483ae5fffeb961eb6d916bec97a73234"
+LUIS64_PYRAMID_GE_SOLVES = 62454
+LUIS64_PYRAMID_HYPOTHESES = 34
+
+#: The ``(2N_zs+1, 2N_zs+1, H, W)`` hypothesis error volume that
+#: ``track_dense_with_volume`` keeps for sub-pixel refinement.
+LUIS64_VOLUME_DIGEST = "27c0c800278f86ed2c9b1a2f9d793a9c"
 
 #: ``ParallelSMA.track_pair`` with ``SMALL_CONFIG`` (semi-fluid) on a
 #: Hurricane Frederic 48 px pair, seed 0, on an 8x8 PE array.
@@ -69,6 +83,21 @@ def test_pruned_digest_and_counts_are_pinned(luis64, backend):
     assert result_digest(result) == LUIS64_DIGEST
     assert result.ge_solves == LUIS64_PRUNED_GE_SOLVES
     assert result.hypotheses_pruned == LUIS64_PRUNED_HYPOTHESES
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pyramid_digest_and_counts_are_pinned(luis64, backend):
+    result = track_dense(luis64, search="pyramid", backend=backend)
+    assert result_digest(result) == LUIS64_PYRAMID_DIGEST
+    assert result.ge_solves == LUIS64_PYRAMID_GE_SOLVES
+    assert result.hypotheses_evaluated == LUIS64_PYRAMID_HYPOTHESES
+
+
+def test_error_volume_digest_is_pinned(luis64):
+    result, volume = track_dense_with_volume(luis64)
+    assert result_digest(result) == LUIS64_DIGEST
+    volume_bytes = np.ascontiguousarray(volume).tobytes()
+    assert hashlib.blake2b(volume_bytes, digest_size=16).hexdigest() == LUIS64_VOLUME_DIGEST
 
 
 @pytest.mark.parametrize("search", ["exhaustive", "pruned"])
