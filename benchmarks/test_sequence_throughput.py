@@ -4,13 +4,13 @@ Times an 8-frame monocular tracking sequence end to end in two
 subprocesses:
 
 * ``legacy`` -- the pre-optimization path: per-pair ``prepare_frames``
-  with no preparation cache, the one-hypothesis-at-a-time ``serial``
-  solver engine, and the NumPy Gaussian elimination
+  with no preparation cache and the NumPy Gaussian elimination
   (``REPRO_NATIVE=0``).
 * ``new`` -- the default ``SMAnalyzer.track_sequence`` path: the
-  frame-preparation cache (each interior frame fitted once, not twice),
-  the batched normal-equation solver, and the native elimination
-  kernel.
+  frame-preparation cache (each interior frame fitted once, not twice)
+  and the native elimination kernel.
+
+Both run the same ``track_dense`` hypothesis loop.
 
 Both drivers print a digest of every field's ``u``/``v``/``error``
 bytes, so the speedup assertion is only ever made about *bit-identical*
@@ -62,7 +62,7 @@ DRIVER = textwrap.dedent(
             prep = prepare_frames(
                 ds.frames[m].surface, ds.frames[m + 1].surface, config
             )
-            fields.append(track_dense(prep, engine="serial"))
+            fields.append(track_dense(prep))
     else:
         from repro import SMAnalyzer
 

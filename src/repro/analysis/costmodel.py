@@ -102,7 +102,7 @@ def predict_parallel(
     if config.is_semifluid:
         driver._charge_semifluid(ledger, mapping)
     for _ in range(config.hypotheses_per_pixel):
-        driver._charge_hypothesis(ledger, mapping)
+        driver._charge_hypothesis(ledger, mapping, h * w)
     return ledger
 
 

@@ -21,27 +21,19 @@ for comparing the correctness of the parallel algorithm results"):
   semi-fluid mapping uses the Section 4.1 precompute
   (:func:`repro.core.semifluid.compute_score_volume`).
 
-:func:`track_dense` offers two engines producing **bit-identical**
-results (tested):
+Every dense schedule runs one hypothesis loop over one per-hypothesis
+step (:class:`HypothesisStep`): semi-fluid deltas, the 28 pointwise
+field planes, an optional certificate prune, one box sum over the
+planes and one 6x6 solve that reads them in place -- for every pixel,
+or for just the surviving ones.  Each hypothesis is merged into the
+running best (:class:`RunningBest`) in hypothesis order with a
+strict-less update, so tie-breaks are deterministic: among equal error
+minima the smaller displacement wins (Chebyshev magnitude, then raster
+order).  :class:`repro.parallel.parallel_sma.ParallelSMA` and
+:func:`repro.extensions.subpixel.track_dense_with_volume` drive the
+same step.
 
-* ``engine="batched"`` (default) -- the hypothesis axis is stacked too:
-  the per-hypothesis normal-equation fields of a whole chunk of the
-  ``(2N_zs+1)^2`` search window are built with one broadcast
-  :func:`~repro.core.continuous.pointwise_fields` call (28 contiguous
-  planes), box-summed with one separable uniform filter sweep over the
-  stack (internally a shared cumulative sliding sum per axis) and
-  solved with ONE :func:`~repro.core.continuous.solve_accumulated` call
-  that reads the planes in place -- the whole-search SIMD rendering,
-  minus per-hypothesis Python dispatch.
-* ``engine="serial"`` -- one hypothesis at a time, kept as the
-  validation baseline and the pre-optimization benchmark reference.
-
-Both paths produce identical integer displacements and identical motion
-parameters (tested), and tie-breaks are deterministic: among equal
-error minima the smaller displacement wins (Chebyshev magnitude, then
-raster order).
-
-On top of the engines, ``search`` selects the *hypothesis schedule*:
+``search`` selects the *hypothesis schedule*:
 
 * ``search="exhaustive"`` (default) -- every pixel evaluates every
   hypothesis, as above.
@@ -52,7 +44,7 @@ On top of the engines, ``search`` selects the *hypothesis schedule*:
   over the full template (the bound survives the ridge term -- the
   computed value is exactly ``min_theta E(theta) + ridge |theta|^2``,
   which is monotone under adding non-negative sample terms -- and the
-  ``max(.., 0)`` clamp).  The engine solves these cheap certificate
+  ``max(.., 0)`` clamp).  The step solves these cheap certificate
   systems on a sparse grid (one per ``stride x stride`` block of
   pixels, window half-width ``n_zt - 1`` so every pixel's nearest
   certificate window nests inside its own template) and skips the full
@@ -71,7 +63,7 @@ On top of the engines, ``search`` selects the *hypothesis schedule*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,6 +76,7 @@ from ..options import TrackOptions
 from ..params import NeighborhoodConfig
 from .continuous import (
     N_FIELDS,
+    MotionSolution,
     estimate_from_samples,
     pointwise_fields,
     solve_accumulated,
@@ -98,16 +91,7 @@ from .semifluid import (
 )
 from .surface import SurfaceGeometry
 
-#: Soft cap on the stacked per-hypothesis field bytes held live by the
-#: batched engine; chunks the ``(2N_zs+1)^2`` search when exceeded.
-#: Small on purpose: the per-hypothesis working set (28 packed field
-#: planes and their box sums, which the fused solve reads in place)
-#: must stay cache-resident -- profiling shows monolithic stacks run
-#: several times SLOWER than one-or-two-hypothesis chunks because every
-#: stage becomes a sweep over main memory.
-DEFAULT_BATCH_BYTES = 2**20
-
-#: Certificate-grid spacing of the pruned engine.  With certificate
+#: Certificate-grid spacing of the pruned schedule.  With certificate
 #: half-width ``m = n_zt - 1`` a stride of 3 keeps every pixel within
 #: Chebyshev distance ``n_zt - m = 1`` of a grid center, so the
 #: displaced certificate window still nests inside the pixel's own
@@ -296,7 +280,7 @@ def _hypothesis_pointwise(
     The ``(H, W, 28)`` pointwise contributions of
     :func:`repro.core.continuous.pointwise_fields`, with the semi-fluid
     ``F_semi`` gather applied when active.  Both the template box sum
-    and the pruned engine's certificate sub-window sums accumulate
+    and the pruned schedule's certificate sub-window sums accumulate
     these same fields, which is what makes the certificate bound exact.
     """
     geo_b, geo_a = prepared.geo_before, prepared.geo_after
@@ -341,8 +325,6 @@ def hypothesis_fields(
 def track_dense(
     prepared: PreparedFrames,
     ridge: float = 1e-9,
-    engine: str = "batched",
-    batch_bytes: int = DEFAULT_BATCH_BYTES,
     search: str = "exhaustive",
     ledger=None,
     pyramid_levels: int = 1,
@@ -355,14 +337,6 @@ def track_dense(
     paper, executed as NumPy whole-array operations (the sequential
     *optimized* rendering; :class:`repro.parallel.parallel_sma.ParallelSMA`
     runs the same math through the SIMD simulator).
-
-    ``engine`` selects ``"batched"`` (default: hypotheses stacked and
-    solved together, see the module docstring) or ``"serial"`` (one
-    hypothesis per iteration, the validation baseline).  The two are
-    bit-identical in ``u``, ``v``, ``params`` and ``error``.
-    ``batch_bytes`` caps the live hypothesis-stack memory of the
-    batched engine; the search window is chunked when it would exceed
-    the cap, which changes speed, never results.
 
     ``search`` selects the hypothesis schedule (module docstring):
     ``"exhaustive"``, ``"pruned"`` (bit-identical, fewer GE solves) or
@@ -379,162 +353,236 @@ def track_dense(
     :class:`repro.options.TrackOptions`.
     """
     options = TrackOptions(search, backend)
-    if engine not in ("batched", "serial"):
-        raise ValueError(f"unknown engine {engine!r} (choose 'batched' or 'serial')")
     resolved = resolve_backend(options.backend)
     with TRACER.span(
-        "hypothesis_search", engine=engine, search=options.search,
-        backend=resolved.resolved,
+        "hypothesis_search", search=options.search, backend=resolved.resolved
     ):
-        if options.search == "pruned":
-            result = _track_dense_pruned(prepared, ridge, resolved.prefer_native)
-        elif options.search == "pyramid":
+        if options.search == "pyramid":
             result = _track_dense_pyramid(
-                prepared, ridge, batch_bytes, pyramid_levels, pyramid_refine,
-                resolved.prefer_native,
+                prepared, ridge, pyramid_levels, pyramid_refine, resolved.prefer_native
             )
-        elif engine == "serial":
-            result = _track_dense_serial(prepared, ridge, resolved.prefer_native)
         else:
-            result = _track_dense_batched(prepared, ridge, batch_bytes, resolved.prefer_native)
+            step = HypothesisStep(
+                prepared, ridge, resolved.prefer_native, prune=options.search == "pruned"
+            )
+            result = _hypothesis_loop(step, hypothesis_order(prepared.config.n_zs))
     if ledger is not None:
         with ledger.phase(PHASE_MATCHING):
             ledger.charge_gaussian_elimination(result.ge_solves, order=6)
     return result
 
 
-def _track_dense_serial(
-    prepared: PreparedFrames, ridge: float, prefer_native: bool = True
-) -> DenseMatchResult:
-    """One hypothesis at a time (the pre-batching reference loop)."""
-    config = prepared.config
-    shape = prepared.geo_before.shape
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    shifted_after = None
-    if semifluid:
-        shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
+@dataclass(frozen=True)
+class Hypothesis:
+    """One evaluated hypothesis ``(dy, dx)``.
 
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape, dtype=np.float64)
-    best_v = np.zeros(shape, dtype=np.float64)
-    best_params = np.zeros(shape + (6,), dtype=np.float64)
+    ``solution`` holds the solved pixels: every pixel, shaped ``(H, W)``,
+    when ``pixels`` is None, else the flat indices ``pixels`` in order;
+    it is None when no pixel was left to solve.  ``deltas`` are the
+    per-pixel semi-fluid displacements ``(delta_y, delta_x)`` (None for
+    the continuous model); ``pruned`` counts the pixels whose solve the
+    certificate bound skipped.
+    """
 
-    order = hypothesis_order(config.n_zs)
-    for hyp_dy, hyp_dx in order:
+    dy: int
+    dx: int
+    deltas: tuple[np.ndarray, np.ndarray] | None
+    pixels: np.ndarray | None
+    solution: MotionSolution | None
+    certificate_solves: int = 0
+    pruned: int = 0
+
+    @property
+    def ge_solves(self) -> int:
+        """Certificate plus pixel eliminations this hypothesis performed."""
+        solved = 0 if self.solution is None else self.solution.error.size
+        return self.certificate_solves + solved
+
+    def dense(self, shape: tuple[int, int]):
+        """``(error, params, u, v)`` over the whole image.
+
+        Unsolved pixels read error ``+inf`` (no strict-less or tie
+        merge can select them) and zero parameters; ``u``/``v`` are the
+        correspondence displacements of every pixel under this
+        hypothesis (eq. 8 for the semi-fluid model).
+        """
+        if self.pixels is None:
+            error, params = self.solution.error, self.solution.params
+        else:
+            error = np.full(shape, np.inf)
+            params = np.zeros(shape + (6,), dtype=np.float64)
+            if self.solution is not None:
+                error.ravel()[self.pixels] = self.solution.error
+                params.reshape(-1, 6)[self.pixels] = self.solution.params
+        if self.deltas is None:
+            return error, params, np.full(shape, float(self.dx)), np.full(shape, float(self.dy))
+        return error, params, self.deltas[1].astype(np.float64), self.deltas[0].astype(np.float64)
+
+
+class HypothesisStep:
+    """The per-hypothesis step every dense schedule shares.
+
+    Calling it with ``(dy, dx)`` gathers the semi-fluid deltas, builds
+    the pointwise fields, runs one box sum over their planes and solves
+    every pixel in place -- or only ``pixels`` (flat indices), or, when
+    built with ``prune=True`` and handed a ``best`` error map with a
+    finite entry, only the pixels the certificate bound cannot rule
+    out.  The after-motion gradients for the semi-fluid gathers are
+    shifted once, when the step is built.
+    """
+
+    def __init__(
+        self,
+        prepared: PreparedFrames,
+        ridge: float = 1e-9,
+        prefer_native: bool = True,
+        prune: bool = False,
+    ) -> None:
+        config = prepared.config
+        self.prepared = prepared
+        self.ridge = ridge
+        self.prefer_native = prefer_native
+        self.shape = prepared.geo_before.shape
+        self.shifted_after = None
+        if prepared.volume is not None and config.n_ss > 0:
+            self.shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
+        #: None when not pruning, or when the template is too small for
+        #: useful certificates (then pruned IS exhaustive).
+        self.grid = _CertificateGrid.build(self.shape, config.n_zt) if prune else None
+        self._held = None
+
+    def __call__(
+        self,
+        dy: int,
+        dx: int,
+        best: np.ndarray | None = None,
+        pixels: np.ndarray | None = None,
+    ) -> Hypothesis:
+        config = self.prepared.config
         deltas = None
-        if semifluid:
-            deltas = semifluid_displacements(prepared.volume, hyp_dy, hyp_dx, config.n_ss)
-        fields = hypothesis_fields(prepared, hyp_dy, hyp_dx, shifted_after, deltas)
-        solution = solve_accumulated(fields, ridge=ridge, prefer_native=prefer_native)
-        better = solution.error < best_error
-        best_error = np.where(better, solution.error, best_error)
-        if semifluid:
+        if self.shifted_after is not None:
+            deltas = semifluid_displacements(self.prepared.volume, dy, dx, config.n_ss)
+        pw = _hypothesis_pointwise(self.prepared, dy, dx, self.shifted_after, deltas)
+        certificate_solves = pruned = 0
+        # Nothing can prune against best = inf, so the first hypothesis
+        # skips the certificate pass entirely.
+        if self.grid is not None and best is not None and np.isfinite(best).any():
+            bound = self.grid.lower_bounds(pw, self.ridge, self.prefer_native)
+            pixels = np.flatnonzero(~(bound > best).ravel())
+            certificate_solves = self.grid.systems
+            pruned = bound.size - pixels.size
+        solution = None
+        if pixels is None or pixels.size:
+            # Full-image box sum on purpose: scipy's separable uniform
+            # filter is a running sum whose rounding depends on the
+            # distance from the array origin, so cropping to the solved
+            # pixels' bounding box would change bits.
+            summed = _box_sum_stack(pw[None], config.n_zt)[0]
+            accumulated = summed
+            if pixels is not None:
+                # One contiguous take per plane; the solve reads the
+                # gathered (28, S) planes as an (S, 28) view.
+                planes = np.moveaxis(summed, -1, 0).reshape(N_FIELDS, -1)
+                accumulated = np.take(planes, pixels, axis=1).T
+            solution = solve_accumulated(
+                accumulated, ridge=self.ridge, prefer_native=self.prefer_native
+            )
+            # Held until the next call has solved: with the heap top
+            # still in use, glibc reuses the freed field planes instead
+            # of trimming and re-faulting ~7 MB per hypothesis at 128 px.
+            self._held = (summed, accumulated)
+        return Hypothesis(dy, dx, deltas, pixels, solution, certificate_solves, pruned)
+
+
+class RunningBest:
+    """The running minimum of eq. (7) over the hypotheses merged so far.
+
+    :meth:`merge` is a strict-less update written in place at flat
+    pixel indices: merged in hypothesis order, the first (smallest)
+    displacement wins every tie.
+    """
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        self.error = np.full(shape, np.inf)
+        self.u = np.zeros(shape, dtype=np.float64)
+        self.v = np.zeros(shape, dtype=np.float64)
+        self.params = np.zeros(shape + (6,), dtype=np.float64)
+
+    def merge(self, hyp: Hypothesis) -> None:
+        if hyp.solution is None:
+            return
+        flat_error = self.error.reshape(-1)
+        error = hyp.solution.error.reshape(-1)
+        if hyp.pixels is None:
+            better = error < flat_error
+            winners = np.flatnonzero(better)
+        else:
+            better = error < flat_error[hyp.pixels]
+            winners = hyp.pixels[better]
+        flat_error[winners] = error[better]
+        self.params.reshape(-1, 6)[winners] = hyp.solution.params.reshape(-1, 6)[better]
+        if hyp.deltas is None:
+            self.u.reshape(-1)[winners] = float(hyp.dx)
+            self.v.reshape(-1)[winners] = float(hyp.dy)
+        else:
             # The non-rigid correspondence of the *tracked* pixel is its
             # own semi-fluid mapping under this hypothesis (eq. 8): the
             # hypothesis displacement refined by the pixel's F_semi
             # drift, which restores sub-window accuracy that the relaxed
             # template mapping would otherwise absorb.
-            best_u = np.where(better, deltas[1].astype(np.float64), best_u)
-            best_v = np.where(better, deltas[0].astype(np.float64), best_v)
-        else:
-            best_u = np.where(better, float(hyp_dx), best_u)
-            best_v = np.where(better, float(hyp_dy), best_v)
-        best_params = np.where(better[..., None], solution.params, best_params)
+            self.u.reshape(-1)[winners] = hyp.deltas[1].reshape(-1)[winners]
+            self.v.reshape(-1)[winners] = hyp.deltas[0].reshape(-1)[winners]
 
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=len(order),
-        ge_solves=shape[0] * shape[1] * len(order),
-    )
+    def result(
+        self, config: NeighborhoodConfig, evaluated: int, ge_solves: int = 0, pruned: int = 0
+    ) -> DenseMatchResult:
+        return DenseMatchResult(
+            u=self.u,
+            v=self.v,
+            params=self.params,
+            error=self.error,
+            valid=valid_mask(self.error.shape, config),
+            hypotheses_evaluated=evaluated,
+            ge_solves=ge_solves,
+            hypotheses_pruned=pruned,
+        )
 
 
-def _solve_pixels(
-    accumulated: np.ndarray, pixels: np.ndarray, ridge: float, prefer_native: bool
-):
-    """Solve the ``(H, W, 28)`` accumulated systems at flat pixel indices.
+def _hypothesis_loop(step: HypothesisStep, order, window=None) -> DenseMatchResult:
+    """Run ``step`` over ``order`` and merge every hypothesis.
 
-    Each of the 28 planes is gathered with one contiguous take, and the
-    solve reads the gathered ``(28, S)`` planes as an ``(S, 28)`` view.
+    ``window(dy, dx)`` optionally names the flat pixels a hypothesis
+    may solve (the pyramid's coarse-centred fine window); a hypothesis
+    no pixel may take is skipped and not counted as evaluated.
+
+    Soundness of the certificate skip: a hypothesis is pruned for a
+    pixel only when ``lb - slack > best_error`` strictly, where ``lb``
+    underestimates the hypothesis' true (ridge-regularized, clamped)
+    template error.  A pruned hypothesis therefore could neither have
+    won the strict ``error < best`` update nor produced an exact tie,
+    so the merged ``u``, ``v``, ``params`` and ``error`` match the
+    exhaustive schedule byte for byte.
     """
-    planes = np.moveaxis(accumulated, -1, 0).reshape(N_FIELDS, -1)
-    return solve_accumulated(
-        np.take(planes, pixels, axis=1).T, ridge=ridge, prefer_native=prefer_native
-    )
-
-
-def _track_dense_batched(
-    prepared: PreparedFrames, ridge: float, batch_bytes: int,
-    prefer_native: bool = True,
-) -> DenseMatchResult:
-    """All hypotheses stacked: one field build, one box-sum sweep, one
-    batched Gaussian elimination per chunk of the search window."""
-    config = prepared.config
-    geo_b, geo_a = prepared.geo_before, prepared.geo_after
-    shape = geo_b.shape
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    shifted_after = None
-    if semifluid:
-        shifted_after = _shifted_geometry_stack(geo_a, prepared.volume)
-
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape, dtype=np.float64)
-    best_v = np.zeros(shape, dtype=np.float64)
-    best_params = np.zeros(shape + (6,), dtype=np.float64)
-
-    order = hypothesis_order(config.n_zs)
-    bytes_per_hypothesis = shape[0] * shape[1] * N_FIELDS * 8
-    chunk_size = max(1, int(batch_bytes) // max(bytes_per_hypothesis, 1))
-    METRICS.inc("hypotheses.evaluated", len(order))
-
-    for start in range(0, len(order), chunk_size):
-        chunk = order[start : start + chunk_size]
-        n = len(chunk)
-        METRICS.inc("batched_engine.chunks")
-        chunk_span = TRACER.span("hypothesis_chunk", start=start, size=n)
-        chunk_span.__enter__()
-        try:
-            p_a, q_a, delta_y, delta_x = _chunk_after_gradients(
-                prepared, chunk, shifted_after
-            )
-            fields = pointwise_fields(
-                geo_b.p[None], geo_b.q[None], p_a, q_a, geo_b.e[None], geo_b.g[None]
-            )
-            accumulated = _box_sum_stack(fields, config.n_zt)
-            del fields
-            solution = solve_accumulated(
-                accumulated, ridge=ridge, prefer_native=prefer_native
-            )
-            del accumulated
-
-            # Merge in hypothesis order with a strict-less update: identical
-            # tie-breaking (Chebyshev magnitude, then raster) to the serial
-            # engine, regardless of chunking.
-            for k, (hyp_dy, hyp_dx) in enumerate(chunk):
-                better = solution.error[k] < best_error
-                best_error = np.where(better, solution.error[k], best_error)
-                if semifluid:
-                    best_u = np.where(better, delta_x[k].astype(np.float64), best_u)
-                    best_v = np.where(better, delta_y[k].astype(np.float64), best_v)
-                else:
-                    best_u = np.where(better, float(hyp_dx), best_u)
-                    best_v = np.where(better, float(hyp_dy), best_v)
-                best_params = np.where(better[..., None], solution.params[k], best_params)
-        finally:
-            chunk_span.__exit__(None, None, None)
-
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=len(order),
-        ge_solves=shape[0] * shape[1] * len(order),
-    )
+    best = RunningBest(step.shape)
+    evaluated = ge_solves = certificate_solves = pruned = 0
+    for dy, dx in order:
+        pixels = None if window is None else window(dy, dx)
+        if pixels is not None and pixels.size == 0:
+            continue
+        hyp = step(dy, dx, best=best.error, pixels=pixels)
+        best.merge(hyp)
+        evaluated += 1
+        ge_solves += hyp.ge_solves
+        certificate_solves += hyp.certificate_solves
+        pruned += hyp.pruned
+    METRICS.inc("hypotheses.evaluated", evaluated)
+    if step.grid is not None:
+        survivor_solves = ge_solves - certificate_solves
+        METRICS.inc("search.hypotheses.pruned", pruned)
+        METRICS.inc("search.ge_solves.performed", ge_solves)
+        METRICS.inc("search.ge_solves.saved", best.error.size * evaluated - survivor_solves)
+        METRICS.inc("search.certificate_solves", certificate_solves)
+    return best.result(step.prepared.config, evaluated, ge_solves, pruned)
 
 
 class _CertificateGrid:
@@ -579,7 +627,7 @@ class _CertificateGrid:
         ``m = n_zt - 1`` needs at least two template rows to leave a
         certificate window that overdetermines the six parameters; a
         ``m < 2`` window (<= 18 residuals) prunes next to nothing, so
-        tiny templates simply fall back to the exhaustive engine.
+        tiny templates simply fall back to the exhaustive schedule.
         """
         m = n_zt - 1
         if m < 2:
@@ -619,146 +667,9 @@ class _CertificateGrid:
         return np.where(self.in_range, bound, -np.inf)
 
 
-def _track_dense_pruned(
-    prepared: PreparedFrames, ridge: float, prefer_native: bool = True
-) -> DenseMatchResult:
-    """Certificate-grid pruning: bit-identical to exhaustive, fewer solves.
-
-    Soundness of the skip: a hypothesis is pruned for a pixel only when
-    ``lb - slack > best_error`` strictly, where ``lb`` underestimates
-    the hypothesis' true (ridge-regularized, clamped) template error.
-    A pruned hypothesis therefore could neither have won the strict
-    ``error < best`` update nor produced an exact tie, so the merged
-    ``u``, ``v``, ``params`` and ``error`` match the exhaustive
-    schedule byte for byte.  The first hypothesis never prunes
-    (``best = inf``), so every pixel always receives a finite best.
-    """
-    config = prepared.config
-    geo_b = prepared.geo_before
-    shape = geo_b.shape
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    shifted_after = None
-    if semifluid:
-        shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
-
-    grid = _CertificateGrid.build(shape, config.n_zt)
-    if grid is None:
-        # Template too small for useful certificates: exhaustive IS the
-        # pruned result (the contract is bit-identity either way).
-        return _track_dense_batched(prepared, ridge, DEFAULT_BATCH_BYTES, prefer_native)
-
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape, dtype=np.float64)
-    best_v = np.zeros(shape, dtype=np.float64)
-    best_params = np.zeros(shape + (6,), dtype=np.float64)
-    flat_error = best_error.ravel()
-    flat_u = best_u.ravel()
-    flat_v = best_v.ravel()
-    flat_params = best_params.reshape(-1, 6)
-
-    order = hypothesis_order(config.n_zs)
-    pixels = shape[0] * shape[1]
-    cert_solves = 0
-    survivor_solves = 0
-    pruned = 0
-    have_best = False
-    METRICS.inc("hypotheses.evaluated", len(order))
-
-    for hyp_dy, hyp_dx in order:
-        deltas = None
-        if semifluid:
-            deltas = semifluid_displacements(prepared.volume, hyp_dy, hyp_dx, config.n_ss)
-        pw = _hypothesis_pointwise(prepared, hyp_dy, hyp_dx, shifted_after, deltas)
-        if have_best:
-            bound = grid.lower_bounds(pw, ridge, prefer_native)
-            cert_solves += grid.systems
-            survivors = np.flatnonzero(~(bound > best_error).ravel())
-            pruned += pixels - survivors.size
-        else:
-            # Nothing can prune against best = inf, so the first
-            # hypothesis skips the certificate pass entirely.
-            survivors = np.arange(pixels)
-        if survivors.size == 0:
-            continue
-        # Full-image box sum on purpose: scipy's separable uniform
-        # filter is a running sum whose rounding depends on the distance
-        # from the array origin, so cropping to the survivor bounding
-        # box would change bits relative to the exhaustive engine.
-        accumulated = _box_sum_stack(pw[None], config.n_zt)[0]
-        solution = _solve_pixels(accumulated, survivors, ridge, prefer_native)
-        survivor_solves += survivors.size
-        have_best = True
-        better = solution.error < flat_error[survivors]
-        winners = survivors[better]
-        if winners.size:
-            flat_error[winners] = solution.error[better]
-            flat_params[winners] = solution.params[better]
-            if semifluid:
-                flat_u[winners] = deltas[1].ravel()[winners].astype(np.float64)
-                flat_v[winners] = deltas[0].ravel()[winners].astype(np.float64)
-            else:
-                flat_u[winners] = float(hyp_dx)
-                flat_v[winners] = float(hyp_dy)
-
-    METRICS.inc("search.hypotheses.pruned", pruned)
-    METRICS.inc("search.ge_solves.performed", cert_solves + survivor_solves)
-    METRICS.inc("search.ge_solves.saved", pixels * len(order) - survivor_solves)
-    METRICS.inc("search.certificate_solves", cert_solves)
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=len(order),
-        ge_solves=cert_solves + survivor_solves,
-        hypotheses_pruned=pruned,
-    )
-
-
-def _chunk_after_gradients(
-    prepared: PreparedFrames,
-    chunk: list[tuple[int, int]],
-    shifted_after: np.ndarray | None,
-):
-    """Host-side gather of after-motion gradients for a hypothesis chunk.
-
-    Returns ``(p_a, q_a, delta_y, delta_x)`` with the gradient stacks of
-    shape ``(n, H, W)``; the deltas are the per-pixel semi-fluid
-    correspondences (None for the continuous model).
-    """
-    config = prepared.config
-    shape = prepared.geo_before.shape
-    geo_a = prepared.geo_after
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    n = len(chunk)
-    p_a = np.empty((n,) + shape, dtype=np.float64)
-    q_a = np.empty((n,) + shape, dtype=np.float64)
-    delta_y = delta_x = None
-    if semifluid:
-        delta_y = np.empty((n,) + shape, dtype=np.int64)
-        delta_x = np.empty((n,) + shape, dtype=np.int64)
-        reach = prepared.volume.reach
-        side = prepared.volume.side
-        for k, (hyp_dy, hyp_dx) in enumerate(chunk):
-            dy_k, dx_k = semifluid_displacements(
-                prepared.volume, hyp_dy, hyp_dx, config.n_ss
-            )
-            delta_y[k], delta_x[k] = dy_k, dx_k
-            flat = (dy_k + reach) * side + (dx_k + reach)
-            p_a[k] = np.take_along_axis(shifted_after[:, 0], flat[None], axis=0)[0]
-            q_a[k] = np.take_along_axis(shifted_after[:, 1], flat[None], axis=0)[0]
-    else:
-        for k, (hyp_dy, hyp_dx) in enumerate(chunk):
-            p_a[k] = shift2d(geo_a.p, hyp_dy, hyp_dx)
-            q_a[k] = shift2d(geo_a.q, hyp_dy, hyp_dx)
-    return p_a, q_a, delta_y, delta_x
-
-
 def _track_dense_pyramid(
     prepared: PreparedFrames,
     ridge: float,
-    batch_bytes: int,
     levels: int,
     refine: int,
     prefer_native: bool = True,
@@ -799,10 +710,12 @@ def _track_dense_pyramid(
         z_b, z_a = next_b, downsample(z_a)
         coarse_zs = next_zs
         used_levels += 1
+    order = hypothesis_order(config.n_zs)
+    step = HypothesisStep(prepared, ridge, prefer_native)
     if used_levels == 0:
         # Image too small for any coarse level: the guided search IS the
         # exhaustive search.
-        return _track_dense_batched(prepared, ridge, batch_bytes, prefer_native)
+        return _hypothesis_loop(step, order)
 
     coarse_config = config.replace(n_zs=coarse_zs)
     with TRACER.span(
@@ -813,61 +726,25 @@ def _track_dense_pyramid(
         n_zs=coarse_zs,
     ):
         coarse_prep = prepare_frames(z_b, z_a, coarse_config)
-        coarse = _track_dense_batched(coarse_prep, ridge, batch_bytes, prefer_native)
+        coarse = _hypothesis_loop(
+            HypothesisStep(coarse_prep, ridge, prefer_native), hypothesis_order(coarse_zs)
+        )
     u_up, v_up = upsample_flow(coarse.u, coarse.v, shape)
     center_x = np.clip(np.rint(u_up), -config.n_zs, config.n_zs).astype(np.int64)
     center_y = np.clip(np.rint(v_up), -config.n_zs, config.n_zs).astype(np.int64)
 
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape, dtype=np.float64)
-    best_v = np.zeros(shape, dtype=np.float64)
-    best_params = np.zeros(shape + (6,), dtype=np.float64)
-    flat_error = best_error.ravel()
-    flat_u = best_u.ravel()
-    flat_v = best_v.ravel()
-    flat_params = best_params.reshape(-1, 6)
+    def window(dy: int, dx: int) -> np.ndarray:
+        near = (np.abs(dy - center_y) <= refine) & (np.abs(dx - center_x) <= refine)
+        return np.flatnonzero(near.ravel())
 
-    offsets_visited = 0
-    fine_solves = 0
-    fine_span = TRACER.span(
+    with TRACER.span(
         "pyramid_level", level=0, height=shape[0], width=shape[1], refine=refine
-    )
-    fine_span.__enter__()
-    try:
-        for hyp_dy, hyp_dx in hypothesis_order(config.n_zs):
-            mask = (np.abs(hyp_dy - center_y) <= refine) & (
-                np.abs(hyp_dx - center_x) <= refine
-            )
-            if not mask.any():
-                continue
-            offsets_visited += 1
-            pw = _hypothesis_pointwise(prepared, hyp_dy, hyp_dx)
-            accumulated = _box_sum_stack(pw[None], config.n_zt)[0]
-            wanted = np.flatnonzero(mask.ravel())
-            solution = _solve_pixels(accumulated, wanted, ridge, prefer_native)
-            fine_solves += wanted.size
-            better = solution.error < flat_error[wanted]
-            winners = wanted[better]
-            if winners.size:
-                flat_error[winners] = solution.error[better]
-                flat_params[winners] = solution.params[better]
-                flat_u[winners] = float(hyp_dx)
-                flat_v[winners] = float(hyp_dy)
-    finally:
-        fine_span.__exit__(None, None, None)
-
+    ):
+        fine = _hypothesis_loop(step, order, window)
     METRICS.inc("pyramid.levels", used_levels)
-    METRICS.inc("pyramid.fine_offsets.visited", offsets_visited)
-    METRICS.inc("pyramid.fine_solves", fine_solves)
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=offsets_visited,
-        ge_solves=coarse.ge_solves + fine_solves,
-    )
+    METRICS.inc("pyramid.fine_offsets.visited", fine.hypotheses_evaluated)
+    METRICS.inc("pyramid.fine_solves", fine.ge_solves)
+    return replace(fine, ge_solves=coarse.ge_solves + fine.ge_solves)
 
 
 def track_pixel(

@@ -28,15 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.continuous import solve_accumulated
 from ..core.matching import (
     DenseMatchResult,
+    HypothesisStep,
     PreparedFrames,
-    _shifted_geometry_stack,
-    hypothesis_fields,
+    RunningBest,
     hypothesis_order,
 )
-from ..core.semifluid import semifluid_displacements
 
 #: Curvature floor below which a parabola is considered degenerate.
 CURVATURE_EPS = 1e-12
@@ -69,48 +67,16 @@ def track_dense_with_volume(
     :func:`repro.core.matching.track_dense` (same evaluation order and
     tie-breaks).
     """
-    config = prepared.config
-    shape = prepared.geo_before.shape
-    n = config.n_zs
+    n = prepared.config.n_zs
     side = 2 * n + 1
-    volume = np.empty((side, side) + shape, dtype=np.float64)
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    shifted_after = None
-    if semifluid:
-        shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
-
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape)
-    best_v = np.zeros(shape)
-    best_params = np.zeros(shape + (6,))
+    step = HypothesisStep(prepared, ridge)
+    volume = np.empty((side, side) + step.shape, dtype=np.float64)
+    best = RunningBest(step.shape)
     for hyp_dy, hyp_dx in hypothesis_order(n):
-        deltas = None
-        if semifluid:
-            deltas = semifluid_displacements(prepared.volume, hyp_dy, hyp_dx, config.n_ss)
-        fields = hypothesis_fields(prepared, hyp_dy, hyp_dx, shifted_after, deltas)
-        solution = solve_accumulated(fields, ridge=ridge)
-        volume[hyp_dy + n, hyp_dx + n] = solution.error
-        better = solution.error < best_error
-        best_error = np.where(better, solution.error, best_error)
-        if semifluid:
-            best_u = np.where(better, deltas[1].astype(np.float64), best_u)
-            best_v = np.where(better, deltas[0].astype(np.float64), best_v)
-        else:
-            best_u = np.where(better, float(hyp_dx), best_u)
-            best_v = np.where(better, float(hyp_dy), best_v)
-        best_params = np.where(better[..., None], solution.params, best_params)
-
-    from ..core.matching import valid_mask
-
-    result = DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=side * side,
-    )
-    return result, volume
+        hyp = step(hyp_dy, hyp_dx)
+        volume[hyp_dy + n, hyp_dx + n] = hyp.solution.error
+        best.merge(hyp)
+    return best.result(prepared.config, side * side), volume
 
 
 def _gather_volume(volume: np.ndarray, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 Aggregate "how often / how much" companions to the per-interval spans
-of :mod:`repro.obs.tracing`: cache hit rates, batched-engine chunk
-counts, degradation-ladder steps, retry backoffs.  Metrics are always
+of :mod:`repro.obs.tracing`: cache hit rates, hypotheses evaluated,
+degradation-ladder steps, retry backoffs.  Metrics are always
 on -- an increment is a dict update under a lock, cheap enough for
 every hot path in this codebase (events fire per frame / per chunk,
 never per pixel) -- and are only materialized when someone asks for a
 :meth:`~MetricsRegistry.snapshot`.
 
-Names are dotted strings (``prep_cache.hit``, ``batched_engine.chunks``);
+Names are dotted strings (``prep_cache.hit``, ``search.certificate_solves``);
 the stable set used by the pipeline is tabulated in
 ``docs/observability.md``.  The serving layer's fault-tolerance
 machinery reports under ``serve.lease.*`` (granted / renewed / reaped /

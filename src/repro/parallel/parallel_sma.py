@@ -32,21 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.continuous import solve_accumulated
 from ..core.field import MotionField
 from ..core.matching import (
+    HypothesisStep,
     PreparedFrames,
-    _box_sum_stack,
-    _CertificateGrid,
-    _hypothesis_pointwise,
-    _shifted_geometry_stack,
-    _solve_pixels,
-    hypothesis_fields,
     prepare_frames,
     valid_mask,
 )
 from ..core.prep import FramePreparationCache
-from ..core.semifluid import semifluid_displacements
 from ..core.sma import Frame
 from ..kernels import resolve_backend
 from ..maspar.cost import CostLedger
@@ -207,7 +200,7 @@ class ParallelSMA:
         self,
         ledger: CostLedger,
         mapping: HierarchicalMapping,
-        solves: int | None = None,
+        solves: int,
     ) -> None:
         c = self.config
         pixels = mapping.height * mapping.width
@@ -218,11 +211,9 @@ class ParallelSMA:
             ledger.charge_memory(stats.mem_bytes)
             ledger.charge_flops(pixels * c.template_pixels * FLOPS_PER_ERROR_TERM)
             # One solve per pixel on the exhaustive schedule; the pruned
-            # schedule passes the certificate + survivor count actually
+            # schedule charges the certificate + survivor count actually
             # performed -- the ledger is how the saving is observed.
-            ledger.charge_gaussian_elimination(
-                pixels if solves is None else solves, order=6
-            )
+            ledger.charge_gaussian_elimination(solves, order=6)
 
     # -- the run ----------------------------------------------------------------------
 
@@ -319,70 +310,29 @@ class ParallelSMA:
         )
 
         # Phase 3: semi-fluid template-mapping precompute.
-        shifted_after = None
         if prepared.volume is not None and self.config.n_ss > 0:
             self._charge_semifluid(ledger, mapping)
-            shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
 
-        # Phase 4: segmented hypothesis matching.  The pruned schedule
-        # keeps its own running best (the elementwise minimum of every
-        # error surface handed to the segmented merge, i.e. exactly the
-        # evolution of the merge state): a hypothesis whose certificate
-        # bound provably exceeds it returns +inf for that pixel, which
-        # the strict-less/tie merge can never select -- so the produced
-        # field stays bit-identical while the ledger records only the
-        # certificate + survivor eliminations actually performed.
-        cert_grid = None
-        running_best = None
-        if self.options.search == "pruned":
-            cert_grid = _CertificateGrid.build(shape, self.config.n_zt)
-            running_best = np.full(shape, np.inf)
+        # Phase 4: segmented hypothesis matching.  ``running_best`` is
+        # the elementwise minimum of every error surface handed to the
+        # segmented merge, i.e. exactly the evolution of the merge
+        # state; the pruned step solves only the pixels whose
+        # certificate bound stays at or below it and reports +inf for
+        # the rest, which the strict-less/tie merge can never select --
+        # so the produced field stays bit-identical while the ledger
+        # records only the certificate + survivor eliminations
+        # actually performed.
+        step = HypothesisStep(
+            prepared, self.ridge, resolved.prefer_native,
+            prune=self.options.search == "pruned",
+        )
+        running_best = np.full(shape, np.inf)
 
         def evaluate(dy: int, dx: int):
-            deltas = None
-            if prepared.volume is not None and self.config.n_ss > 0:
-                deltas = semifluid_displacements(
-                    prepared.volume, dy, dx, self.config.n_ss
-                )
-            if cert_grid is not None:
-                pw = _hypothesis_pointwise(prepared, dy, dx, shifted_after, deltas)
-                if np.isfinite(running_best).any():
-                    bound = cert_grid.lower_bounds(
-                        pw, self.ridge, prefer_native=resolved.prefer_native
-                    )
-                    cert_solves = cert_grid.systems
-                    survivors = np.flatnonzero(~(bound > running_best).ravel())
-                else:
-                    # nothing can prune against best = inf: skip the
-                    # certificate pass for the first hypothesis
-                    cert_solves = 0
-                    survivors = np.arange(shape[0] * shape[1])
-                error = np.full(shape, np.inf)
-                params = np.zeros(shape + (6,), dtype=np.float64)
-                if survivors.size:
-                    accumulated = _box_sum_stack(pw[None], self.config.n_zt)[0]
-                    solution = _solve_pixels(
-                        accumulated, survivors, self.ridge, resolved.prefer_native
-                    )
-                    error.ravel()[survivors] = solution.error
-                    params.reshape(-1, 6)[survivors] = solution.params
-                np.minimum(running_best, error, out=running_best)
-                self._charge_hypothesis(
-                    ledger, mapping, solves=cert_solves + int(survivors.size)
-                )
-            else:
-                self._charge_hypothesis(ledger, mapping)
-                fields = hypothesis_fields(prepared, dy, dx, shifted_after, deltas)
-                solution = solve_accumulated(
-                    fields, ridge=self.ridge, prefer_native=resolved.prefer_native
-                )
-                error, params = solution.error, solution.params
-            if deltas is not None:
-                u_field = deltas[1].astype(np.float64)
-                v_field = deltas[0].astype(np.float64)
-            else:
-                u_field = np.full(shape, float(dx))
-                v_field = np.full(shape, float(dy))
+            hyp = step(dy, dx, best=running_best)
+            self._charge_hypothesis(ledger, mapping, hyp.ge_solves)
+            error, params, u_field, v_field = hyp.dense(shape)
+            np.minimum(running_best, error, out=running_best)
             return error, params, u_field, v_field
 
         search = SegmentedSearch(

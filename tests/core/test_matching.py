@@ -178,30 +178,6 @@ class TestPrepareFrames:
 
 
 class TestEngines:
-    @pytest.mark.parametrize("fixture", ["prepared_continuous", "prepared_semifluid"])
-    def test_serial_and_batched_bit_identical(self, fixture, request):
-        prepared = request.getfixturevalue(fixture)
-        serial = track_dense(prepared, engine="serial")
-        batched = track_dense(prepared, engine="batched")
-        np.testing.assert_array_equal(serial.u, batched.u)
-        np.testing.assert_array_equal(serial.v, batched.v)
-        np.testing.assert_array_equal(serial.error, batched.error)
-        np.testing.assert_array_equal(serial.params, batched.params)
-        assert serial.hypotheses_evaluated == batched.hypotheses_evaluated
-
-    def test_chunking_never_changes_results(self, prepared_continuous):
-        """Any batch_bytes cap yields the same field (only speed changes)."""
-        reference = track_dense(prepared_continuous)
-        for cap in (1, 10_000, 2**22):
-            chunked = track_dense(prepared_continuous, batch_bytes=cap)
-            np.testing.assert_array_equal(reference.u, chunked.u)
-            np.testing.assert_array_equal(reference.v, chunked.v)
-            np.testing.assert_array_equal(reference.error, chunked.error)
-
-    def test_unknown_engine_rejected(self, prepared_continuous):
-        with pytest.raises(ValueError, match="unknown engine"):
-            track_dense(prepared_continuous, engine="quantum")
-
     def test_no_volume_for_continuous(self, prepared_continuous):
         assert prepared_continuous.volume is None
 
